@@ -2,8 +2,10 @@
 
 The quantized Cartan matrix C(z) has quantum-integer entries; its inverse
 C~(z) is expanded as a series in descending powers of z, whose integer
-coefficients drive every commutation exponent downstream.  Coefficients are
-produced lazily by exact long division of adjugate entries by det C(z).
+coefficients drive every commutation exponent downstream.  det C(z) and the
+adjugate adj C(z) come from a fraction-free (Bareiss) Gauss-Jordan
+elimination over integer Laurent polynomials; coefficients are then produced
+lazily by exact long division of adjugate entries by det C(z).
 
 Nodes are 1-based throughout the public API.
 """
@@ -13,8 +15,6 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from math import gcd
-
-import sympy
 
 from .errors import InternalInconsistency, NotCartan, NotFiniteType, NotSymmetrizable, ParseError
 
@@ -65,7 +65,14 @@ class CartanMatrix:
     """Validated finite-type generalized Cartan matrix."""
 
     def __init__(self, entries):
-        entries = [list(map(int, row)) for row in entries]
+        try:
+            entries = [list(row) for row in entries]
+        except TypeError:
+            raise ParseError("Cartan matrix must be a list of rows") from None
+        for i, row in enumerate(entries):
+            for j, x in enumerate(row):
+                if type(x) is not int:
+                    raise ParseError(f"matrix entry ({i + 1},{j + 1}) is {x!r}, not an integer")
         n = len(entries)
         if n == 0 or any(len(row) != n for row in entries):
             raise NotCartan("matrix must be square and nonempty")
@@ -248,16 +255,48 @@ class _DescendingQuotient:
         return self.coeffs.get(r, 0)
 
 
-def _laurent_from_sympy(expr, z) -> dict:
-    expr = sympy.expand(expr)
-    d = {}
-    for term in sympy.Add.make_args(expr):
-        coeff, exp = term.as_coeff_exponent(z)
-        if not (coeff.is_Integer and exp.is_Integer):
-            raise InternalInconsistency(f"unexpected term {term} in adjugate/determinant")
-        e = int(exp)
-        d[e] = d.get(e, 0) + int(coeff)
-    return {e: c for e, c in d.items() if c}
+def zp_exact_div(num: dict, den: dict) -> dict:
+    """num / den for Laurent polynomials; raises if den does not divide num."""
+    if not num:
+        return {}
+    quotient = _DescendingQuotient(num, den)
+    quotient.coeff(min(num) - min(den))
+    if quotient.rem:
+        raise InternalInconsistency("non-exact Laurent division")
+    return quotient.coeffs
+
+
+def _det_and_adjugate(mat):
+    """det M and adj M of a square Laurent-polynomial matrix, without fractions.
+
+    Fraction-free (Bareiss) Gauss-Jordan elimination on [M | I]: step k keeps
+    row k and replaces every other row i by (p_k M_i - M_ik M_k) / p_(k-1),
+    with p_k the k-th pivot and p_(-1) = 1.  Every entry stays a minor of
+    [M | I], so each division is exact, and at the end the left block is
+    det M times the identity and the right block is adj M.  No row swaps: the
+    pivots are the leading principal minors of M, nonzero for C(z) of finite
+    type because they are positive at z = 1.
+    """
+    n = len(mat)
+    rows = [list(mat[i]) + [{0: 1} if j == i else {} for j in range(n)] for i in range(n)]
+    prev = {0: 1}
+    for k in range(n):
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        if not pivot:
+            raise InternalInconsistency(f"leading principal minor {k + 1} vanishes")
+        for i in range(n):
+            if i == k:
+                continue
+            row = rows[i]
+            neg_factor = {e: -c for e, c in row[k].items()}
+            for j in range(2 * n):
+                if j != k:
+                    entry = zp_add(zp_mul(pivot, row[j]), zp_mul(neg_factor, pivot_row[j]))
+                    row[j] = zp_exact_div(entry, prev)
+            row[k] = {}
+        prev = pivot
+    return prev, [row[n:] for row in rows]
 
 
 class InvCartanSeries:
@@ -270,27 +309,18 @@ class InvCartanSeries:
     def __init__(self, owner: SymmetrizedCartan):
         self.owner = owner
         self._lock = threading.RLock()
-        z = sympy.Symbol("z")
+        det, adj = _det_and_adjugate(owner.cz)
         n = owner.n
-        mat = sympy.Matrix(
-            n, n, lambda a, b: sum(c * z**e for e, c in owner.cz[a][b].items())
-        )
-        det = _laurent_from_sympy(mat.det(), z)
-        adj = mat.adjugate()
-        self._quotients = {}
-        for a in range(n):
-            for b in range(n):
-                num = _laurent_from_sympy(adj[a, b], z)
-                self._quotients[(a + 1, b + 1)] = _DescendingQuotient(num, det)
+        self._quotients = {
+            (a + 1, b + 1): _DescendingQuotient(adj[a][b], det)
+            for a in range(n)
+            for b in range(n)
+        }
 
     def entry_coeff(self, a: int, b: int, r: int) -> int:
         """Coefficient of z^r in the series of C~(z)_{a,b}."""
         with self._lock:
             return self._quotients[(a, b)].coeff(r)
-
-    def inv_coeff(self, i: int, j: int, r: int) -> int:
-        """pi_r(C~_{j,i}(z)): the coefficient the (i,j) commutation data reads."""
-        return self.entry_coeff(j, i, r)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +337,8 @@ def _chain(n):
 
 def named_cartan(name: str):
     """Standard Cartan matrix for names like A3, B2, D4, E6, F4, G2."""
+    if not isinstance(name, str):
+        raise ParseError(f"Cartan type must be a string, not {name!r}")
     name = name.strip().upper()
     if len(name) < 2 or name[0] not in "ABCDEFG" or not name[1:].isdigit():
         raise ParseError(f"unknown Cartan type {name!r}")
@@ -354,16 +386,16 @@ def named_cartan(name: str):
 
 
 def cartan_from_json(obj) -> SymmetrizedCartan:
-    """Accepts {"type": "B2"}, {"matrix": [[...]]}, or a bare type name."""
+    """Accepts {"type": "B2"}, {"matrix": [[...]]}, or a bare type name.
+
+    A JSON object must carry exactly one key; matrix entries must be integers.
+    """
     if isinstance(obj, str):
         return validate_cartan(named_cartan(obj))
     if not isinstance(obj, dict):
         raise ParseError("Cartan input must be a name or a JSON object")
-    if "type" in obj:
+    if obj.keys() == {"type"}:
         return validate_cartan(named_cartan(obj["type"]))
-    if "matrix" in obj:
-        try:
-            return validate_cartan(obj["matrix"])
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad matrix entry: {exc}") from None
-    raise ParseError("Cartan JSON needs a 'type' or 'matrix' key")
+    if obj.keys() == {"matrix"}:
+        return validate_cartan(obj["matrix"])
+    raise ParseError(f"Cartan JSON needs exactly one key, 'type' or 'matrix'; got {sorted(obj)}")

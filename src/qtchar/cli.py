@@ -68,6 +68,13 @@ def _load_algebra(spec: str) -> YtAlgebra:
     return YtAlgebra(cartan_from_json(spec))
 
 
+def _budget(args) -> Budget:
+    try:
+        return Budget(args.budget_monomials, args.budget_depth)
+    except ValueError as exc:
+        raise ParseError(f"--budget-monomials/--budget-depth: {exc}") from None
+
+
 def _seed_monomial(alg: YtAlgebra, text: str) -> Monomial:
     m = parse_basis_monomial(text)
     for (i, _), _e in m.items():
@@ -104,7 +111,7 @@ def _dot_tree(tree) -> str:
 
 def cmd_tchar(args) -> int:
     alg = _load_algebra(args.cartan)
-    budget = Budget(args.budget_monomials, args.budget_depth)
+    budget = _budget(args)
     seed = _seed_monomial(alg, args.seed)
     if args.format == "dot":
         tree = character_tree(alg, seed, budget)
@@ -124,7 +131,7 @@ def cmd_tchar(args) -> int:
 
 def cmd_kl(args) -> int:
     alg = _load_algebra(args.cartan)
-    budget = Budget(args.budget_monomials, args.budget_depth)
+    budget = _budget(args)
     seed = _seed_monomial(alg, args.seed)
     rows, _ = lt_and_kl(alg, seed, budget)
     payload = {
@@ -150,7 +157,7 @@ def cmd_kl(args) -> int:
 
 def cmd_product(args) -> int:
     alg = _load_algebra(args.cartan)
-    budget = Budget(args.budget_monomials, args.budget_depth)
+    budget = _budget(args)
     from .characters import RepElement
 
     x = RepElement.from_monomial(parse_rep_monomial(args.left))
@@ -328,7 +335,7 @@ def _suite_bicharacters(budget: Budget):
 
 
 def cmd_verify(args) -> int:
-    budget = Budget(args.budget_monomials, args.budget_depth)
+    budget = _budget(args)
     runners = {
         "appendix": _suite_appendix,
         "kernels": _suite_kernels,

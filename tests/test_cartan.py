@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import qtchar
 from qtchar import algebra
 from qtchar.cartan import (
     CartanMatrix,
@@ -13,7 +18,7 @@ DEPTH_TYPES = (
     [f"A{n}" for n in range(1, 7)]
     + [f"B{n}" for n in range(2, 5)]
     + [f"C{n}" for n in range(2, 5)]
-    + ["D4", "G2", "F4"]
+    + ["D4", "D5", "G2", "F4", "E6", "E7", "E8"]
 )
 
 
@@ -73,10 +78,41 @@ def test_json_inputs():
     assert cartan_from_json("b2").r == [1, 2]
     assert cartan_from_json({"type": "A2"}).n == 2
     assert cartan_from_json({"matrix": [[2]]}).n == 1
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"rank": 2},
+        17,
+        {"matrix": [[2.5, -1], [-1, 2]]},  # would truncate to A2
+        {"matrix": [[2.0, -1], [-1, 2]]},
+        {"matrix": [["2", -1], [-1, 2]]},
+        {"matrix": [[2, 0], [False, 2]]},  # would read as A1xA1
+        {"matrix": [[2, True], [-1, 2]]},
+        {"matrix": [[2, None], [-1, 2]]},
+        {"matrix": 5},
+        {"matrix": [2, 2]},
+        {"type": 5},
+        {"type": None},
+        {"type": ["A2"]},
+        {"type": "A2", "matrix": [[2, -1], [-1, 2]]},
+        {"type": "A2", "note": "x"},
+        {},
+    ],
+)
+def test_json_inputs_rejected(obj):
     with pytest.raises(ParseError):
-        cartan_from_json({"rank": 2})
-    with pytest.raises(ParseError):
-        cartan_from_json(17)
+        cartan_from_json(obj)
+
+
+def test_import_leaves_sympy_out():
+    src = os.path.dirname(os.path.dirname(qtchar.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, qtchar; print('sympy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_simply_laced_flag():

@@ -65,6 +65,22 @@ def test_parse_error_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--cartan", '{"type": 5}'],
+        ["--cartan", '{"matrix": [[2.5, -1], [-1, 2]]}'],
+        ["--cartan", '{"type": "A2", "matrix": [[2, -1], [-1, 2]]}'],
+        ["--budget-monomials", "0"],
+        ["--budget-depth", "0"],
+    ],
+)
+def test_bad_cartan_and_budget_exit_2(capsys, argv):
+    code, out, err = run(capsys, "tchar", *argv, "Y[1,0]")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("parse error")
+
+
 def test_domain_error_exit_3(capsys):
     code, _, err = run(capsys, "tchar", "Y[1,0]^-1")
     assert code == 3 and "domain error" in err
