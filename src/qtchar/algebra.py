@@ -9,9 +9,14 @@ and beta are the generator-level commutation exponents.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from operator import itemgetter
+
 from .cartan import InvCartanSeries, SymmetrizedCartan
-from .errors import NotSimplyLaced
+from .errors import InternalInconsistency, NotSimplyLaced
 from .tpoly import ONE, TPoly
+
+_level_node = itemgetter(1, 0)  # order (node, level) keys level-major
 
 # ---------------------------------------------------------------------------
 # monomials
@@ -45,9 +50,6 @@ class Monomial:
 
     def u(self, i: int, l: int) -> int:
         return dict(self.data).get((i, l), 0)
-
-    def as_dict(self) -> dict:
-        return dict(self.data)
 
     def items(self):
         return self.data
@@ -225,17 +227,39 @@ class YtElement:
 # ---------------------------------------------------------------------------
 
 
+def _fundamental_heights(cartan: SymmetrizedCartan):
+    """ht(omega_k) for every node k: the solution s of C^T s = (1, ..., 1), exact.
+
+    A_{i,l} has weight alpha_i = sum_j C_ji omega_j, so omega_k has root
+    coordinates in column k of C^-1 and height the k-th column sum of C^-1.
+    """
+    n = cartan.n
+    rows = [[Fraction(cartan.c(j, k)) for j in cartan.nodes()] + [Fraction(1)]
+            for k in cartan.nodes()]
+    for p in range(n):
+        pivot = next(q for q in range(p, n) if rows[q][p])
+        rows[p], rows[pivot] = rows[pivot], rows[p]
+        rows[p] = [x / rows[p][p] for x in rows[p]]
+        for q in range(n):
+            if q != p and rows[q][p]:
+                f = rows[q][p]
+                rows[q] = [a - f * b for a, b in zip(rows[q], rows[p])]
+    return [row[n] for row in rows]
+
+
 class YtAlgebra:
     """Commutation data and products for a fixed symmetrized Cartan matrix."""
 
     def __init__(self, cartan: SymmetrizedCartan):
         self.cartan = cartan
         self.series = InvCartanSeries(cartan)
-        # caches used by higher layers (sl2 engine, screening, characters)
-        self.ft_sl2_cache = {}
-        self.fit_cache = {}
+        # cache used by characters.fundamental
         self.fundamental_cache = {}
         self._n_pair_cache = {}
+        # per node i, the Y-entries (j, level offset, exponent) of A_{i,0}^-1
+        self._a_inv = {i: self._a_inv_template(i) for i in cartan.nodes()}
+        # ht(omega_i) = <omega_i, rho^v>, the column sums of C^-1
+        self._heights = _fundamental_heights(cartan)
 
     # -- series lookups ------------------------------------------------
 
@@ -321,19 +345,21 @@ class YtAlgebra:
 
     # -- the A variables ------------------------------------------------
 
-    def a_expand(self, i: int, l: int) -> Monomial:
-        """Y-exponent map of A_{i,l}."""
+    def _a_inv_template(self, i: int):
         ri = self.cartan.ri(i)
-        d = {(i, l - ri): 1, (i, l + ri): 1}
+        entries = [(i, -ri, -1), (i, ri, -1)]
         for j in self.cartan.nodes():
             cji = self.cartan.c(j, i)
             if j != i and cji < 0:
-                for s in range(cji + 1, -cji, 2):
-                    d[(j, l + s)] = d.get((j, l + s), 0) - 1
-        return Monomial(d)
+                entries.extend((j, s, 1) for s in range(cji + 1, -cji, 2))
+        return tuple(entries)
+
+    def a_expand(self, i: int, l: int) -> Monomial:
+        """Y-exponent map of A_{i,l}."""
+        return Monomial({(j, l + dl): -e for j, dl, e in self._a_inv[i]})
 
     def a_expand_inv(self, i: int, l: int) -> Monomial:
-        return self.a_expand(i, l).inverse()
+        return Monomial({(j, l + dl): e for j, dl, e in self._a_inv[i]})
 
     def a_inv_elem(self, i: int, l: int) -> YtElement:
         """A_{i,l}^-1 as an element (its Y-expansion is already normal ordered)."""
@@ -344,10 +370,12 @@ class YtAlgebra:
 
     def a_monomial_expand(self, v: dict) -> Monomial:
         """Y-exponent map of prod A_{i,l}^-v_{i,l}."""
-        acc = Monomial.unit()
-        for (i, l), e in sorted(v.items()):
-            acc = acc.times(self.a_expand_inv(i, l).power(e))
-        return acc
+        d = {}
+        for (i, l), e in v.items():
+            for j, dl, de in self._a_inv[i]:
+                key = (j, l + dl)
+                d[key] = d.get(key, 0) + e * de
+        return Monomial(d)
 
     def factor_over_A(self, m: Monomial, base: Monomial):
         """Unique v >= 0 with m = base * prod A_{i,l}^-v_{i,l}, or None.
@@ -357,33 +385,52 @@ class YtAlgebra:
         -1, and every A used must keep all its entries at or below the
         highest level of the discrepancy.
         """
-        diff = m.times(base.inverse())
-        if diff.is_unit():
+        cur = dict(m.data)
+        for key, e in base.data:
+            nv = cur.get(key, 0) - e
+            if nv:
+                cur[key] = nv
+            else:
+                del cur[key]
+        if not cur:
             return {}
-        lmax = diff.max_level()
+        lmax = max(l for _, l in cur)
+        r = self.cartan.r
+        templates = self._a_inv
         v = {}
-        cur = diff.as_dict()
         while cur:
-            (i, l0) = min(cur, key=lambda k: (k[1], k[0]))
+            (i, l0) = min(cur, key=_level_node)
             e = cur[(i, l0)]
             if e > 0:
                 return None
-            ri = self.cartan.ri(i)
+            ri = r[i - 1]
             l = l0 + ri
             if l + ri > lmax:
                 return None
             v[(i, l)] = v.get((i, l), 0) - e
-            for key, de in self.a_expand_inv(i, l).items():
-                nv = cur.get(key, 0) + e * de  # remove (-e) copies
+            for j, dl, de in templates[i]:  # remove (-e) copies of A_{i,l}^-1
+                key = (j, l + dl)
+                nv = cur.get(key, 0) + e * de
                 if nv:
                     cur[key] = nv
-                elif key in cur:
+                else:
                     del cur[key]
         return v
 
     def a_depth(self, m: Monomial, base: Monomial):
         v = self.factor_over_A(m, base)
         return None if v is None else sum(v.values())
+
+    def depth_bound(self, m_plus: Monomial) -> int:
+        """Largest A-depth below m_plus: ht(lambda - w0 lambda) = 2 <lambda, rho^v>.
+
+        lambda = wt(m_plus); every monomial of a character with highest
+        weight lambda has weight at least w0 lambda (Frenkel-Mukhin).
+        """
+        bound = 2 * sum(self._heights[i - 1] * e for (i, _), e in m_plus.items())
+        if bound.denominator != 1:
+            raise InternalInconsistency(f"2<wt({m_plus}), rho^v> = {bound} is not an integer")
+        return int(bound)
 
     def leq(self, m: Monomial, mp: Monomial) -> bool:
         """m <= m' in the partial order generated by the A_{i,l}^-1."""

@@ -21,13 +21,17 @@ from .tpoly import ONE, TPoly, ZERO
 
 @dataclass(frozen=True)
 class Budget:
-    """Guard rails for the frontier computation (termination is conjectural)."""
+    """Resource limits for the frontier computation.
+
+    max_a_depth is an optional cap on the A-depth; None leaves only the exact
+    bound 2<wt(m_plus), rho^v>, which no correct run can pass.
+    """
 
     max_monomials: int = 200000
-    max_a_depth: int = 60
+    max_a_depth: int | None = None
 
     def __post_init__(self):
-        if self.max_monomials < 1 or self.max_a_depth < 1:
+        if self.max_monomials < 1 or (self.max_a_depth is not None and self.max_a_depth < 1):
             raise ValueError("budgets must be >= 1")
 
 
@@ -42,7 +46,9 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
     the partial order.  Each processed node-i-dominant monomial with nonzero
     leftover coefficient contributes its f_it expansion to the accumulators;
     a non-dominant monomial must receive the same value from every node that
-    sees a negative exponent, and disagreement aborts loudly.
+    sees a negative exponent, and disagreement aborts loudly.  A monomial
+    first met in the expansion of m gets the A-depth of m plus its depth
+    below m; past the bound of depth_bound the run aborts as inconsistent.
     """
     if not m_plus.is_dominant():
         raise NotDominant(f"seed {m_plus} is not dominant")
@@ -52,8 +58,10 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
     heap = [(0, m_plus.sortkey(), m_plus)]
     seen = {m_plus}
     blocks = [] if record_blocks else None
+    bound = alg.depth_bound(m_plus)
+    cap = budget.max_a_depth
     while heap:
-        _, _, m = heapq.heappop(heap)
+        depth_m, _, m = heapq.heappop(heap)
         si = {i: acc[i].pop(m, ZERO) for i in nodes}
         if m == m_plus:
             sm = ONE
@@ -87,13 +95,18 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
                         raise BudgetExceeded(
                             f"more than {budget.max_monomials} monomials discovered"
                         )
-                    depth = alg.a_depth(mr, m_plus)
-                    if depth is None:
+                    step = alg.a_depth(mr, m)
+                    if step is None:
                         raise InternalInconsistency(
-                            f"discovered monomial {mr} does not factor over the seed"
+                            f"discovered monomial {mr} does not factor over {m}"
                         )
-                    if depth > budget.max_a_depth:
-                        raise BudgetExceeded(f"A-depth {depth} exceeds budget")
+                    depth = depth_m + step
+                    if depth > bound:
+                        raise InternalInconsistency(
+                            f"A-depth {depth} of {mr} exceeds the bound {bound}"
+                        )
+                    if cap is not None and depth > cap:
+                        raise BudgetExceeded(f"A-depth {depth} exceeds budget {cap}")
                     heapq.heappush(heap, (depth, mr.sortkey(), mr))
     result = YtElement(s)
     if record_blocks:

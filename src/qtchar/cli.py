@@ -220,9 +220,7 @@ def _suite_kernels(budget: Budget):
 def _positivity_types():
     names = [f"A{n}" for n in range(1, 7)]
     names += [f"B{n}" for n in range(2, 5)] + [f"C{n}" for n in range(2, 5)]
-    names += ["D4", "G2"]
-    if os.environ.get("QTCHAR_RUN_F4"):
-        names.append("F4")
+    names += ["D4", "G2", "F4"]
     return names
 
 
@@ -362,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--cartan", default="A1", help="Cartan type name or JSON")
     common.add_argument("--budget-monomials", type=int, default=200000)
-    common.add_argument("--budget-depth", type=int, default=60)
+    common.add_argument("--budget-depth", type=int, default=None,
+                        help="optional cap on the A-depth (default: the exact bound)")
     common.add_argument("--format", choices=["json", "dot", "text"], default="json")
     common.add_argument("--t1", action="store_true", help="specialize output at t = 1")
     parser = argparse.ArgumentParser(
@@ -392,6 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.format == "dot" and args.func is not cmd_tchar:
+            raise ParseError(f"--format dot is only available for tchar, not {args.command}")
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

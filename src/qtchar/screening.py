@@ -10,7 +10,7 @@ from __future__ import annotations
 from .algebra import Monomial, YtAlgebra, YtElement
 from .errors import NotIDominant
 from .sl2 import ft_sl2, sl2_algebra
-from .tpoly import ONE, TPoly
+from .tpoly import ONE, ZERO, TPoly
 
 
 class ScreeningVector:
@@ -123,37 +123,46 @@ def _residue_shadows(alg: YtAlgebra, i: int, m: Monomial):
     return {k: Monomial(d) for k, d in shadows.items()}
 
 
-def f_it(alg: YtAlgebra, i: int, m: Monomial) -> YtElement:
-    """Kernel element with m as its unique i-dominant monomial.
+# dominant rank-1 shadow mk -> ft_sl2(mk) in A-string form: one (v, c) per
+# term lam * mu of ft_sl2(mk), where mu = mk * prod A_{1,level}^-exponent
+# over v, a tuple of (level, exponent), and c = lam * t^-N(mk, A^-v) is the
+# coefficient the lift multiplies onto m; a value depends only on mk
+_STRINGS = {}
 
-    Built by lifting the rank-1 character of each residue shadow: express
-    ft_sl2 as an A^-1-string polynomial over the shadow, relabel the string
-    levels back to node i, and multiply everything onto m.
-    """
-    cached = alg.fit_cache.get((i, m))
-    if cached is not None:
-        return cached
-    _check_i_dominant(alg, i, m)
-    ri = alg.cartan.ri(i)
-    s2 = sl2_algebra()
-    result = YtElement.from_monomial(m)
-    for k, mk in sorted(_residue_shadows(alg, i, m).items()):
-        ft = ft_sl2(s2, mk)
-        chi = YtElement.zero()
-        for mu, lam in ft.items():
+
+def _a_strings(mk: Monomial):
+    strings = _STRINGS.get(mk)
+    if strings is None:
+        s2 = sl2_algebra()
+        strings = []
+        for mu, lam in ft_sl2(s2, mk).items():
             v = s2.factor_over_A(mu, mk)
             if v is None:
                 raise NotIDominant(f"rank-1 character term {mu} does not factor over {mk}")
-            a_v = s2.a_monomial_expand(v)
-            c = lam * TPoly.t_power(-s2.bichar_n(mk, a_v))
-            target = alg.a_monomial_expand(
-                {(i, k + lv * ri): e for (_, lv), e in v.items()}
-            )
-            chi = chi + YtElement.from_monomial(target, c)
-        result = alg.mul(result, chi)
+            c = lam * TPoly.t_power(-s2.bichar_n(mk, s2.a_monomial_expand(v)))
+            strings.append((tuple((lv, e) for (_, lv), e in v.items()), c))
+        _STRINGS[mk] = strings
+    return strings
+
+
+def f_it(alg: YtAlgebra, i: int, m: Monomial) -> YtElement:
+    """Kernel element with m as its unique i-dominant monomial.
+
+    Built by lifting the rank-1 character of each residue shadow: take
+    ft_sl2 of the shadow as an A^-1-string polynomial, relabel the string
+    levels back to node i, and multiply everything onto m.
+    """
+    _check_i_dominant(alg, i, m)
+    ri = alg.cartan.ri(i)
+    result = YtElement.from_monomial(m)
+    for k, mk in sorted(_residue_shadows(alg, i, m).items()):
+        chi = {}
+        for v, c in _a_strings(mk):
+            target = alg.a_monomial_expand({(i, k + lv * ri): e for lv, e in v})
+            chi[target] = chi.get(target, ZERO) + c
+        result = alg.mul(result, YtElement(chi))
     if result.coeff(m) != ONE:
         raise AssertionError(f"f_it leading coefficient on {m} is {result.coeff(m)}")
-    alg.fit_cache[(i, m)] = result
     return result
 
 

@@ -190,9 +190,16 @@ def et_sl2(alg: YtAlgebra, m: Monomial) -> YtElement:
     return _normalize_leading(acc, m)
 
 
+# dominant rank-1 monomial -> its deformed character; every rank-1 algebra
+# has the same Cartan matrix [[2]], so one table serves them all
+_FT_SL2 = {}
+
+
 def ft_sl2(alg: YtAlgebra, m: Monomial) -> YtElement:
-    """Deformed character with m as unique dominant monomial."""
-    cached = alg.ft_sl2_cache.get(m)
+    """Deformed character with m as unique dominant monomial (alg of rank 1)."""
+    if alg.cartan.n != 1:
+        raise ValueError("ft_sl2 needs a rank-1 algebra")
+    cached = _FT_SL2.get(m)
     if cached is not None:
         return cached
     e = et_sl2(alg, m)
@@ -200,5 +207,5 @@ def ft_sl2(alg: YtAlgebra, m: Monomial) -> YtElement:
     for mu, lam in e.dominant_part().items():
         if mu != m:
             out = out - ft_sl2(alg, mu).scale(lam)
-    alg.ft_sl2_cache[m] = out
+    _FT_SL2[m] = out
     return out

@@ -122,12 +122,6 @@ class TPoly:
                 const = c
         return TPoly(neg), TPoly({0: const}), TPoly(pos)
 
-    def min_degree(self):
-        return min(self.coeffs) if self.coeffs else None
-
-    def max_degree(self):
-        return max(self.coeffs) if self.coeffs else None
-
     def nonnegative(self) -> bool:
         """All coefficients nonnegative (membership in N[t, t^-1])."""
         return all(c >= 0 for c in self.coeffs.values())
@@ -159,6 +153,5 @@ class TPoly:
         return out
 
 
-T = TPoly.t_power(1)
 ONE = TPoly.one()
 ZERO = TPoly.zero()

@@ -6,7 +6,6 @@ counterexamples, each with a passing test of the corrected identity next
 to it.
 """
 
-import os
 import random
 import time
 
@@ -72,9 +71,7 @@ def test_criterion_3_kernel_suite():
 def test_criterion_4_positivity():
     names = [f"A{n}" for n in range(1, 7)]
     names += [f"B{n}" for n in range(2, 5)] + [f"C{n}" for n in range(2, 5)]
-    names += ["D4", "G2"]
-    if os.environ.get("QTCHAR_RUN_F4"):
-        names.append("F4")
+    names += ["D4", "G2", "F4"]
     for name in names:
         alg = algebra(name)
         for i in alg.cartan.nodes():

@@ -38,6 +38,38 @@ def test_a_expand_values(sl2, b2):
     )
 
 
+@pytest.mark.parametrize("name", ["A3", "B2", "C3", "G2", "D4"])
+def test_a_expand_matches_formula(name):
+    """A_{i,l}: +1 at (i, l +- r_i), -1 at (j, l + s), s in range(C_ji + 1, -C_ji, 2)."""
+    alg = algebra(name)
+    cm = alg.cartan
+    for i in cm.nodes():
+        ri = cm.ri(i)
+        for l in (-7, -2, 0, 1, 3, 10):
+            want = {(i, l - ri): 1, (i, l + ri): 1}
+            for j in cm.nodes():
+                if j != i:
+                    for s in range(cm.c(j, i) + 1, -cm.c(j, i), 2):
+                        want[(j, l + s)] = -1
+            assert alg.a_expand(i, l) == Monomial(want), (name, i, l)
+            assert alg.a_expand_inv(i, l) == Monomial(want).inverse()
+
+
+@pytest.mark.parametrize("name", TYPES + ["C3", "D4"])
+def test_a_monomial_expand_is_product_of_a_inverses(name):
+    alg = algebra(name)
+    rng = random.Random(f"expand:{name}")
+    for _ in range(40):
+        v = {}
+        for _ in range(rng.randrange(0, 6)):
+            key = (rng.choice(list(alg.cartan.nodes())), rng.randrange(-6, 7))
+            v[key] = v.get(key, 0) + rng.choice([-2, -1, 1, 2, 3])
+        want = Monomial.unit()
+        for (i, l), e in v.items():
+            want = want.times(alg.a_expand_inv(i, l).power(e))
+        assert alg.a_monomial_expand(v) == want
+
+
 @pytest.mark.parametrize("name", TYPES)
 def test_factor_over_a_roundtrip(name):
     alg = algebra(name)

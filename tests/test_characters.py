@@ -19,7 +19,7 @@ from qtchar.characters import (
     star_product,
     t_algorithm,
 )
-from qtchar.errors import BudgetExceeded, NotDominant
+from qtchar.errors import BudgetExceeded, InternalInconsistency, NotDominant
 from qtchar.tpoly import ONE, TPoly
 
 
@@ -47,6 +47,42 @@ def test_budget_exceeded(g2):
         t_algorithm(g2, Monomial.y(2, 0), Budget(max_monomials=3))
     with pytest.raises(BudgetExceeded):
         t_algorithm(g2, Monomial.y(2, 0), Budget(max_a_depth=1))
+
+
+def test_depth_past_exact_bound_is_inconsistent(monkeypatch):
+    """The exact bound is a correctness check, not a budget: passing it aborts."""
+    g2 = algebra("G2")
+    monkeypatch.setattr(g2, "depth_bound", lambda m_plus: 1)
+    with pytest.raises(InternalInconsistency):
+        t_algorithm(g2, Monomial.y(2, 0))
+
+
+@pytest.mark.parametrize("name,node", [("G2", 2), ("C3", 2), ("F4", 3)])
+def test_a_depth_is_additive_along_blocks(name, node):
+    """Depth from the parent: depth(mr) = depth(m) + depth of mr below m."""
+    alg = algebra(name)
+    seed = Monomial.y(node, 0)
+    _, blocks = t_algorithm(alg, seed, record_blocks=True)
+    depth = {}
+    for _, m, f in blocks:
+        if m not in depth:
+            depth[m] = alg.a_depth(m, seed)
+        for mr in f.monomials():
+            assert alg.a_depth(mr, seed) == depth[m] + alg.a_depth(mr, m), (m, mr)
+
+
+@pytest.mark.parametrize(
+    "name,node,bound",
+    [("E6", 4, 42), ("E7", 2, 49), ("F4", 3, 42), ("G2", 1, 6), ("G2", 2, 10),
+     ("B3", 2, 8), ("C3", 2, 10), ("A4", 2, 6), ("D5", 3, 18)],
+)
+def test_exact_depth_bound_is_reached(name, node, bound):
+    """2<wt(m_plus), rho^v> equals the deepest monomial of the fundamental."""
+    alg = algebra(name)
+    seed = Monomial.y(node, 0)
+    result = t_algorithm(alg, seed)
+    assert alg.depth_bound(seed) == bound
+    assert max(alg.a_depth(m, seed) for m in result.monomials()) == bound
 
 
 def test_fundamental_shift(b2):

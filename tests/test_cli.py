@@ -81,6 +81,27 @@ def test_bad_cartan_and_budget_exit_2(capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("parse error")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kl", "--cartan", "B2", "Y[2,0] Y[1,5]"],
+        ["product", "X[1,0]", "X[1,2]"],
+        ["verify", "involution"],
+    ],
+)
+def test_dot_format_only_for_tchar(capsys, argv):
+    code, out, err = run(capsys, *argv[:1], "--format", "dot", *argv[1:])
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("parse error")
+
+
+def test_e8_node1_under_default_flags(capsys):
+    """A-depth 92: only the exact bound applies without --budget-depth."""
+    code, out, err = run(capsys, "tchar", "--cartan", "E8", "Y[1,0]")
+    assert code == 0 and err == ""
+    assert len(json.loads(out)["element"]["terms"]) == 3875
+
+
 def test_domain_error_exit_3(capsys):
     code, _, err = run(capsys, "tchar", "Y[1,0]^-1")
     assert code == 3 and "domain error" in err
