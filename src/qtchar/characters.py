@@ -16,6 +16,7 @@ from .errors import (
     NotDominant,
 )
 from .screening import f_it
+from .sl2 import _normalize_leading
 from .tpoly import ONE, TPoly, ZERO
 
 
@@ -38,6 +39,22 @@ class Budget:
 DEFAULT_BUDGET = Budget()
 
 
+def _depth_bound_in_budget(alg: YtAlgebra, m: Monomial, budget: Budget) -> int:
+    """The exact A-depth bound of m, after checking that it fits the budget.
+
+    The weights of the simple module with highest monomial m include a
+    saturated chain from wt(m) down to w0 wt(m) of depth_bound(m) + 1 distinct
+    weights, so its character, and any product of fundamentals containing it,
+    has at least that many monomials.
+    """
+    bound = alg.depth_bound(m)
+    if bound + 1 > budget.max_monomials:
+        raise BudgetExceeded(
+            f"{m} has at least {bound + 1} monomials, more than {budget.max_monomials}"
+        )
+    return bound
+
+
 def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGET,
                 record_blocks: bool = False):
     """Frontier computation of the deformed character with highest monomial m_plus.
@@ -52,13 +69,13 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
     """
     if not m_plus.is_dominant():
         raise NotDominant(f"seed {m_plus} is not dominant")
+    bound = _depth_bound_in_budget(alg, m_plus, budget)
     nodes = list(alg.cartan.nodes())
     acc = {i: {} for i in nodes}
     s = {}
     heap = [(0, m_plus.sortkey(), m_plus)]
     seen = {m_plus}
     blocks = [] if record_blocks else None
-    bound = alg.depth_bound(m_plus)
     cap = budget.max_a_depth
     while heap:
         depth_m, _, m = heapq.heappop(heap)
@@ -123,14 +140,6 @@ def fundamental(alg: YtAlgebra, i: int, l: int = 0, budget: Budget = DEFAULT_BUD
     return base if l == 0 else base.shift(l)
 
 
-def _normalize_leading(elem: YtElement, m: Monomial) -> YtElement:
-    lead = elem.coeff(m)
-    sp = lead.single_power()
-    if sp is None or sp[1] != 1:
-        raise InternalInconsistency(f"leading coefficient on {m} is {lead}, not a t-power")
-    return elem.scale(TPoly.t_power(-sp[0]))
-
-
 def e_t(alg: YtAlgebra, m: Monomial, budget: Budget = DEFAULT_BUDGET) -> YtElement:
     """Ordered product of shifted fundamentals (levels increasing).
 
@@ -140,6 +149,7 @@ def e_t(alg: YtAlgebra, m: Monomial, budget: Budget = DEFAULT_BUDGET) -> YtEleme
     """
     if not m.is_dominant():
         raise NotDominant(f"{m} is not dominant")
+    _depth_bound_in_budget(alg, m, budget)
     acc = YtElement.unit()
     for (i, l), u in sorted(m.items(), key=lambda kv: (kv[0][1], kv[0][0])):
         factor = fundamental(alg, i, l, budget)

@@ -130,7 +130,7 @@ def classical_f_i(alg: YtAlgebra, i: int, m: Monomial) -> dict:
 
 
 def classical_algorithm(alg: YtAlgebra, m_plus: Monomial,
-                        max_monomials: int = 200000, max_a_depth: int = 60) -> dict:
+                        max_monomials: int = 200000) -> dict:
     """Classical monomial-expansion algorithm (integer coefficients)."""
     if not m_plus.is_dominant():
         raise NotDominant(f"seed {m_plus} is not dominant")
@@ -175,7 +175,5 @@ def classical_algorithm(alg: YtAlgebra, m_plus: Monomial,
                     depth = alg.a_depth(mr, m_plus)
                     if depth is None:
                         raise InternalInconsistency("classical frontier left the cone")
-                    if depth > max_a_depth:
-                        raise BudgetExceeded("classical A-depth exceeded")
                     heapq.heappush(heap, (depth, mr.sortkey(), mr))
     return s

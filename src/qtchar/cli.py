@@ -10,51 +10,27 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import random
 import sys
 
 from .algebra import Monomial, YtAlgebra, YtElement
 from .cartan import cartan_from_json
-from .characters import (
-    Budget,
-    character_tree,
-    chi_qt,
-    fundamental,
-    lt_and_kl,
-    positivity_report,
-    star_product,
-    t_algorithm,
-)
-from .classical import classical_algorithm
+from .characters import Budget, character_tree, lt_and_kl, star_product, t_algorithm
 from .errors import BudgetExceeded, DomainError, ParseError, QtcharError
 from .grammar import (
     format_basis_monomial,
     format_element_text,
     parse_basis_monomial,
-    parse_element_lines,
     parse_rep_monomial,
     serialize_element,
     serialize_tpoly,
 )
-from .screening import in_kernel_all
-from .sl2 import sl2_algebra
-from .tpoly import ONE, TPoly
+from .suites import SUITES
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_BUDGET = 4
 EXIT_VERIFY = 5
-
-FIXTURE_KEYS = [
-    ("a1a1", {"matrix": [[2, 0], [0, 2]]}),
-    ("a2", "A2"),
-    ("b2", "B2"),
-    ("g2", "G2"),
-]
-
-VERIFY_SUITES = ("appendix", "kernels", "positivity", "involution", "bicharacters")
 
 
 def _load_algebra(spec: str) -> YtAlgebra:
@@ -182,170 +158,8 @@ def cmd_product(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# verify suites
-# ---------------------------------------------------------------------------
-
-
-def _fixture_element(alg: YtAlgebra, name: str) -> YtElement:
-    path = os.path.join(os.path.dirname(__file__), "fixtures", name + ".txt")
-    with open(path, encoding="utf-8") as fh:
-        return parse_element_lines(alg, fh.read())
-
-
-def _suite_appendix(budget: Budget):
-    checks = []
-    for key, cartan in FIXTURE_KEYS:
-        alg = YtAlgebra(cartan_from_json(cartan))
-        for i in alg.cartan.nodes():
-            computed = t_algorithm(alg, Monomial.y(i, 0), budget)
-            for variant in ("k1", "k2"):
-                want = _fixture_element(alg, f"{key}_f{i}_{variant}")
-                checks.append(
-                    {"name": f"{key} fundamental {i} vs {variant}", "ok": computed == want}
-                )
-    return checks
-
-
-def _suite_kernels(budget: Budget):
-    checks = []
-    for name in ["A1", "A2", "A3", "A4", "B2", "C2", "B3", "C3", "G2"]:
-        alg = _load_algebra(name)
-        for i in alg.cartan.nodes():
-            f = fundamental(alg, i, 0, budget)
-            checks.append({"name": f"{name} node {i} kernel", "ok": in_kernel_all(alg, f)})
-    return checks
-
-
-def _positivity_types():
-    names = [f"A{n}" for n in range(1, 7)]
-    names += [f"B{n}" for n in range(2, 5)] + [f"C{n}" for n in range(2, 5)]
-    names += ["D4", "G2", "F4"]
-    return names
-
-
-def _suite_positivity(budget: Budget):
-    checks = []
-    for name in _positivity_types():
-        alg = _load_algebra(name)
-        for i in alg.cartan.nodes():
-            rep = positivity_report(alg, i, budget)
-            checks.append({"name": f"{name} node {i} positive", "ok": rep["positive"]})
-    return checks
-
-
-def _random_element(alg: YtAlgebra, rng: random.Random) -> YtElement:
-    total = YtElement.zero()
-    for _ in range(rng.randrange(1, 4)):
-        d = {}
-        for _ in range(rng.randrange(1, 4)):
-            key = (rng.choice(list(alg.cartan.nodes())), rng.randrange(-4, 5))
-            d[key] = d.get(key, 0) + rng.choice([-2, -1, 1, 2])
-        coeff = TPoly({rng.randrange(-3, 4): rng.choice([-2, -1, 1, 2])})
-        total = total + YtElement.from_monomial(Monomial(d), coeff)
-    return total
-
-
-def _suite_involution(budget: Budget):
-    alg = _load_algebra("B2")
-    rng = random.Random(20240917)
-    ok_double = ok_anti = True
-    for _ in range(100):
-        x = _random_element(alg, rng)
-        y = _random_element(alg, rng)
-        if alg.bar(alg.bar(x)) != x:
-            ok_double = False
-        if alg.bar(alg.mul(x, y)) != alg.mul(alg.bar(y), alg.bar(x)):
-            ok_anti = False
-    ok_forms = True
-    for i in alg.cartan.nodes():
-        ri = alg.cartan.ri(i)
-        for l in range(-3, 4):
-            y = YtElement.from_monomial(Monomial.y(i, l))
-            exp = alg.tilde(i, i, ri) - alg.tilde(i, i, -ri)
-            if alg.bar(y) != y.scale(TPoly.t_power(exp)):
-                ok_forms = False
-            a = alg.a_inv_elem(i, l)
-            if alg.bar(a) != a:
-                ok_forms = False
-    return [
-        {"name": "bar is an involution", "ok": ok_double},
-        {"name": "bar is antimultiplicative", "ok": ok_anti},
-        {"name": "bar closed forms on generators", "ok": ok_forms},
-    ]
-
-
-def _suite_bicharacters(budget: Budget):
-    rng = random.Random(20240918)
-    checks = []
-    for name in ["A2", "B2", "G2"]:
-        alg = _load_algebra(name)
-        ok_anti = ok_split = True
-        for _ in range(30):
-            i = rng.choice(list(alg.cartan.nodes()))
-            j = rng.choice(list(alg.cartan.nodes()))
-            l, k = rng.randrange(-8, 9), rng.randrange(-8, 9)
-            if alg.gamma(i, l, j, k) != -alg.gamma(j, k, i, l):
-                ok_anti = False
-            if alg.gamma(i, l, j, k) != alg.n_pair(i, l, j, k) - alg.n_pair(j, k, i, l):
-                ok_split = False
-        checks.append({"name": f"{name} gamma antisymmetric", "ok": ok_anti})
-        checks.append({"name": f"{name} gamma = N - N^T", "ok": ok_split})
-        ok_biadd = True
-        for _ in range(30):
-            m1 = _random_element(alg, rng)
-            ms = [m for m, _ in m1.items()]
-            a = rng.choice(ms)
-            b = rng.choice(ms)
-            c = rng.choice(ms)
-            if alg.bichar_n(a.times(b), c) != alg.bichar_n(a, c) + alg.bichar_n(b, c):
-                ok_biadd = False
-            if alg.bichar_n(a, b.times(c)) != alg.bichar_n(a, b) + alg.bichar_n(a, c):
-                ok_biadd = False
-        checks.append({"name": f"{name} N biadditive", "ok": ok_biadd})
-    s2 = sl2_algebra()
-    ok_table = True
-    for d in range(-8, 9):
-        n = s2.n_pair(1, d, 1, 0)
-        if d == 0:
-            want = -1
-        elif d % 2:
-            want = 0
-        elif d > 0:
-            want = 0
-        else:
-            r = d // 2
-            want = 2 * (-1) ** (r + 1)
-        if n != want:
-            ok_table = False
-    checks.append({"name": "rank-1 N case table", "ok": ok_table})
-    a2 = _load_algebra("A2")
-    ok_eps = True
-    for _ in range(30):
-        i = rng.choice([1, 2])
-        j = rng.choice([1, 2])
-        l, k = rng.randrange(-6, 7), rng.randrange(-6, 7)
-        lhs = a2.vv_epsilon(i, l, j, k) - a2.vv_epsilon_prime(i, l, j, k)
-        if lhs != a2.n_pair(i, l, j, k):
-            ok_eps = False
-    checks.append({"name": "A2 epsilon - epsilon' = N", "ok": ok_eps})
-    return checks
-
-
 def cmd_verify(args) -> int:
-    budget = _budget(args)
-    runners = {
-        "appendix": _suite_appendix,
-        "kernels": _suite_kernels,
-        "positivity": _suite_positivity,
-        "involution": _suite_involution,
-        "bicharacters": _suite_bicharacters,
-    }
-    if args.suite not in runners:
-        raise DomainError(
-            f"unknown suite {args.suite!r}; pick one of {', '.join(VERIFY_SUITES)}"
-        )
-    checks = runners[args.suite](budget)
+    checks = SUITES[args.suite](_budget(args))
     passed = all(c["ok"] for c in checks)
     if args.format == "text":
         for c in checks:
@@ -383,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("right")
     p.set_defaults(func=cmd_product)
     p = sub.add_parser("verify", parents=[common], help="run a named invariant suite")
-    p.add_argument("suite", choices=VERIFY_SUITES)
+    p.add_argument("suite", choices=list(SUITES))
     p.set_defaults(func=cmd_verify)
     return parser
 

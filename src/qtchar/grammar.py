@@ -22,10 +22,11 @@ from .algebra import Monomial, YtAlgebra, YtElement
 from .errors import ParseError
 from .tpoly import TPoly
 
+# re.ASCII: \d must not match other Unicode digits, which int() would accept
 _FACTOR = re.compile(
-    r"^(?P<var>[YA])\[(?P<idx>-?\d+(?:,-?\d+)?)\](?:\^(?P<exp>-?\d+))?$"
+    r"^(?P<var>[YA])\[(?P<idx>-?\d+(?:,-?\d+)?)\](?:\^(?P<exp>-?\d+))?$", re.ASCII
 )
-_TPOW = re.compile(r"^t(?:\^(?P<exp>-?\d+))?$")
+_TPOW = re.compile(r"^t(?:\^(?P<exp>-?\d+))?$", re.ASCII)
 
 
 def _parse_factor(tok: str):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .algebra import Monomial, YtAlgebra, YtElement
 from .cartan import validate_cartan
 from .errors import InternalInconsistency, NotDominant
-from .tpoly import ONE, TPoly
+from .tpoly import TPoly
 
 _SL2 = None
 

@@ -1,10 +1,7 @@
-import random
-
 import pytest
 
-from qtchar import YtAlgebra, algebra
-from qtchar.algebra import Monomial, YtElement
-from qtchar.tpoly import TPoly
+from qtchar import algebra
+from qtchar.suites import random_element as random_element  # re-exported for the tests
 
 
 @pytest.fixture(scope="session")
@@ -25,15 +22,3 @@ def b2():
 @pytest.fixture(scope="session")
 def g2():
     return algebra("G2")
-
-
-def random_element(alg: YtAlgebra, rng: random.Random, terms=3) -> YtElement:
-    total = YtElement.zero()
-    for _ in range(rng.randrange(1, terms + 1)):
-        d = {}
-        for _ in range(rng.randrange(1, 4)):
-            key = (rng.choice(list(alg.cartan.nodes())), rng.randrange(-4, 5))
-            d[key] = d.get(key, 0) + rng.choice([-2, -1, 1, 2])
-        coeff = TPoly({rng.randrange(-3, 4): rng.choice([-2, -1, 1, 2])})
-        total = total + YtElement.from_monomial(Monomial(d), coeff)
-    return total

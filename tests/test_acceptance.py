@@ -11,38 +11,33 @@ import time
 
 import pytest
 
-from qtchar import YtAlgebra, algebra
-from qtchar.algebra import Monomial, YtElement
+from qtchar import YtAlgebra, algebra, suites
+from qtchar.algebra import Monomial
 from qtchar.cartan import cartan_from_json
-from qtchar.characters import (
-    RepElement,
-    fundamental,
-    lt_and_kl,
-    positivity_report,
-    star_product,
-    t_algorithm,
-)
+from qtchar.characters import RepElement, fundamental, lt_and_kl, star_product
 from qtchar.classical import classical_algorithm
-from qtchar.cli import FIXTURE_KEYS, _fixture_element
-from qtchar.screening import in_kernel_all
 from qtchar.sl2 import Segment, classic_L, ft_sl2, sl2_algebra
-from qtchar.tpoly import ONE, TPoly
+from qtchar.suites import FIXTURE_KEYS, KERNEL_TYPES, fixture_element
+from qtchar.tpoly import TPoly
 
-KERNEL_TYPES = ["A1", "A2", "A3", "A4", "B2", "C2", "B3", "C3", "G2"]
+
+def _assert_suite(checks, count):
+    assert len(checks) == count
+    for check in checks:
+        assert check["ok"], check["name"]
 
 
 def test_criterion_1_rank2_fixture_reproduction():
-    sizes = {"a1a1": [2, 2], "a2": [3, 3], "b2": [4, 5], "g2": [7, 15]}
     start = time.monotonic()
+    checks = suites.appendix()
+    assert time.monotonic() - start < 5.0
+    _assert_suite(checks, 16)
+    sizes = {"a1a1": [2, 2], "a2": [3, 3], "b2": [4, 5], "g2": [7, 15]}
     for key, cartan in FIXTURE_KEYS:
         alg = YtAlgebra(cartan_from_json(cartan))
         for i in alg.cartan.nodes():
-            computed = t_algorithm(alg, Monomial.y(i, 0))
-            assert len(computed) == sizes[key][i - 1]
             for variant in ("k1", "k2"):
-                want = _fixture_element(alg, f"{key}_f{i}_{variant}")
-                assert computed == want, f"{key} f{i} vs {variant}"
-    assert time.monotonic() - start < 5.0
+                assert len(fixture_element(alg, f"{key}_f{i}_{variant}")) == sizes[key][i - 1]
 
 
 def test_criterion_2_classical_oracle():
@@ -61,22 +56,13 @@ def test_criterion_2_classical_oracle():
 
 def test_criterion_3_kernel_suite():
     start = time.monotonic()
-    for name in KERNEL_TYPES:
-        alg = algebra(name)
-        for i in alg.cartan.nodes():
-            assert in_kernel_all(alg, fundamental(alg, i)), f"{name} node {i}"
+    checks = suites.kernels()
     assert time.monotonic() - start < 60.0
+    _assert_suite(checks, 22)
 
 
 def test_criterion_4_positivity():
-    names = [f"A{n}" for n in range(1, 7)]
-    names += [f"B{n}" for n in range(2, 5)] + [f"C{n}" for n in range(2, 5)]
-    names += ["D4", "G2", "F4"]
-    for name in names:
-        alg = algebra(name)
-        for i in alg.cartan.nodes():
-            rep = positivity_report(alg, i)
-            assert rep["positive"], f"{name} node {i}: {rep['offending']}"
+    _assert_suite(suites.positivity(), 49)
 
 
 def test_criterion_5_kl_examples():
@@ -179,82 +165,11 @@ def test_criterion_6_adjacent_scalar_alternative_form():
 
 
 def test_criterion_7_involution_suite():
-    alg = algebra("B2")
-    rng = random.Random(20240917)
-
-    def rand_elem():
-        total = YtElement.zero()
-        for _ in range(rng.randrange(1, 4)):
-            d = {}
-            for _ in range(rng.randrange(1, 4)):
-                key = (rng.choice([1, 2]), rng.randrange(-4, 5))
-                d[key] = d.get(key, 0) + rng.choice([-2, -1, 1, 2])
-            coeff = TPoly({rng.randrange(-3, 4): rng.choice([-2, -1, 1, 2])})
-            total = total + YtElement.from_monomial(Monomial(d), coeff)
-        return total
-
-    for _ in range(100):
-        x, y = rand_elem(), rand_elem()
-        assert alg.bar(alg.bar(x)) == x
-        assert alg.bar(alg.mul(x, y)) == alg.mul(alg.bar(y), alg.bar(x))
-    # closed forms recomputed from the inverse series
-    for i in alg.cartan.nodes():
-        ri = alg.cartan.ri(i)
-        exp = alg.tilde(i, i, ri) - alg.tilde(i, i, -ri)
-        for l in range(-3, 4):
-            y = YtElement.from_monomial(Monomial.y(i, l))
-            assert alg.bar(y) == y.scale(TPoly.t_power(exp))
-            a = alg.a_inv_elem(i, l)
-            assert alg.bar(a) == a
+    _assert_suite(suites.involution(), 3)
 
 
 def test_criterion_8_bicharacter_suite():
-    rng = random.Random(20240918)
-    for name in ["A2", "B2", "G2"]:
-        alg = algebra(name)
-        nodes = list(alg.cartan.nodes())
-        for _ in range(30):
-            i, j = rng.choice(nodes), rng.choice(nodes)
-            l, k = rng.randrange(-8, 9), rng.randrange(-8, 9)
-            g = alg.gamma(i, l, j, k)
-            assert g == -alg.gamma(j, k, i, l)
-            assert g == alg.n_pair(i, l, j, k) - alg.n_pair(j, k, i, l)
-        for _ in range(30):
-            ms = [
-                Monomial(
-                    {
-                        (rng.choice(nodes), rng.randrange(-4, 5)): rng.choice(
-                            [-2, -1, 1, 2]
-                        )
-                    }
-                )
-                for _ in range(3)
-            ]
-            a, b, c = ms
-            assert alg.bichar_n(a.times(b), c) == alg.bichar_n(a, c) + alg.bichar_n(
-                b, c
-            )
-            assert alg.bichar_n(a, b.times(c)) == alg.bichar_n(a, b) + alg.bichar_n(
-                a, c
-            )
-    # rank-1 case table for N(Y_l, Y_k), |l - k| <= 8
-    s2 = sl2_algebra()
-    for d in range(-8, 9):
-        n = s2.n_pair(1, d, 1, 0)
-        if d == 0:
-            assert n == -1
-        elif d % 2 or d > 0:
-            assert n == 0
-        else:
-            assert n == 2 * (-1) ** (d // 2 + 1)
-    # geometric pairing comparison on A2
-    a2 = algebra("A2")
-    for _ in range(30):
-        i, j = rng.choice([1, 2]), rng.choice([1, 2])
-        l, k = rng.randrange(-6, 7), rng.randrange(-6, 7)
-        assert a2.vv_epsilon(i, l, j, k) - a2.vv_epsilon_prime(
-            i, l, j, k
-        ) == a2.n_pair(i, l, j, k)
+    _assert_suite(suites.bicharacters(), 11)
 
 
 def _random_yv(rng, nodes):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from qtchar import algebra
 from qtchar.algebra import Monomial, YtElement
 from qtchar.errors import NotSimplyLaced
-from qtchar.tpoly import ONE, TPoly
+from qtchar.tpoly import TPoly
 
 from conftest import random_element
 

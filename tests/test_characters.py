@@ -3,7 +3,7 @@ import random
 import pytest
 
 from qtchar import algebra
-from qtchar.algebra import Monomial, YtElement
+from qtchar.algebra import Monomial
 from qtchar.characters import (
     Budget,
     RepElement,
@@ -47,6 +47,16 @@ def test_budget_exceeded(g2):
         t_algorithm(g2, Monomial.y(2, 0), Budget(max_monomials=3))
     with pytest.raises(BudgetExceeded):
         t_algorithm(g2, Monomial.y(2, 0), Budget(max_a_depth=1))
+
+
+def test_budget_checked_against_exact_size_up_front(sl2):
+    """Y[1,0]^61 has exactly depth_bound + 1 = 62 monomials."""
+    m = Monomial.y(1, 0, 61)
+    with pytest.raises(BudgetExceeded):
+        t_algorithm(sl2, m, Budget(61))
+    with pytest.raises(BudgetExceeded):
+        e_t(sl2, m, Budget(61))
+    assert len(t_algorithm(sl2, m, Budget(62))) == 62
 
 
 def test_depth_past_exact_bound_is_inconsistent(monkeypatch):

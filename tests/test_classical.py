@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -58,6 +59,15 @@ def test_classical_is_the_t1_shadow_of_the_t_algorithm(name):
     for i in alg.cartan.nodes():
         cc = classical_algorithm(alg, Monomial.y(i, 0))
         assert cc == fundamental(alg, i).at_one()
+
+
+def test_classical_past_depth_60(sl2):
+    """Y[1,0]^61 reaches A-depth 61; its character is (Y[1,0] + Y[1,2]^-1)^61."""
+    m = Monomial.y(1, 0, 61)
+    want = {Monomial({(1, 0): 61 - k, (1, 2): -k}): math.comb(61, k) for k in range(62)}
+    cc = classical_algorithm(sl2, m)
+    assert cc == want
+    assert cc == t_algorithm(sl2, m).at_one()
 
 
 def test_classical_tensor_seed(a2):

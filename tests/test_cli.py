@@ -63,6 +63,8 @@ def test_parse_error_exit_2(capsys):
     assert code == 2
     code, _, err = run(capsys, "tchar", "Y[2,0]")  # node outside rank 1
     assert code == 2
+    code, out, err = run(capsys, "tchar", "Y[\u0661,0]")  # Arabic-Indic digit one
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(
@@ -114,6 +116,21 @@ def test_budget_exceeded_exit_4(capsys):
     code, _, err = run(capsys, "tchar", "--cartan", "G2",
                        "--budget-monomials", "3", "Y[2,0]")
     assert code == 4 and "budget exceeded" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tchar", "Y[1,0]^99999999999999999999"],
+        ["kl", "Y[1,0]^99999999999999999999"],
+        ["product", "X[1,0]^99999999999999999999", "X[1,2]"],
+    ],
+)
+def test_seed_past_monomial_budget_exit_4(capsys, argv):
+    """Rejected from the exact size bound before any work is done."""
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("budget exceeded")
 
 
 def test_verify_appendix(capsys):

@@ -58,7 +58,10 @@ def test_normal_ordered_group(sl2):
 
 
 def test_parse_errors(sl2, b2):
-    for bad in ["", "Z[1,0]", "Y[1,0]^0", "A[1,0]^2", "A[1,0]^1", "Y[1;0]"]:
+    for bad in ["", "Z[1,0]", "Y[1,0]^0", "A[1,0]^2", "A[1,0]^1", "Y[1;0]",
+                # ASCII digits only: Arabic-Indic and full-width digits
+                "Y[\u0661,0]", "Y[1,\u0660]", "Y[1,0]^\u0662", "t^\u0663",
+                "Y[\uff11,0]", "Y[1,0]^\uff12"]:
         with pytest.raises(ParseError):
             parse_monomial(sl2, bad)
     with pytest.raises(ParseError):

@@ -14,7 +14,7 @@ from qtchar.sl2 import (
     is_irregular,
     sl2_algebra,
 )
-from qtchar.tpoly import ONE, TPoly
+from qtchar.tpoly import ONE
 
 
 def mono(*levels):
