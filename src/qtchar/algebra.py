@@ -9,7 +9,6 @@ and beta are the generator-level commutation exponents.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import itemgetter
 
 from .cartan import InvCartanSeries, SymmetrizedCartan
@@ -227,26 +226,6 @@ class YtElement:
 # ---------------------------------------------------------------------------
 
 
-def _fundamental_heights(cartan: SymmetrizedCartan):
-    """ht(omega_k) for every node k: the solution s of C^T s = (1, ..., 1), exact.
-
-    A_{i,l} has weight alpha_i = sum_j C_ji omega_j, so omega_k has root
-    coordinates in column k of C^-1 and height the k-th column sum of C^-1.
-    """
-    n = cartan.n
-    rows = [[Fraction(cartan.c(j, k)) for j in cartan.nodes()] + [Fraction(1)]
-            for k in cartan.nodes()]
-    for p in range(n):
-        pivot = next(q for q in range(p, n) if rows[q][p])
-        rows[p], rows[pivot] = rows[pivot], rows[p]
-        rows[p] = [x / rows[p][p] for x in rows[p]]
-        for q in range(n):
-            if q != p and rows[q][p]:
-                f = rows[q][p]
-                rows[q] = [a - f * b for a, b in zip(rows[q], rows[p])]
-    return [row[n] for row in rows]
-
-
 class YtAlgebra:
     """Commutation data and products for a fixed symmetrized Cartan matrix."""
 
@@ -258,8 +237,6 @@ class YtAlgebra:
         self._n_pair_cache = {}
         # per node i, the Y-entries (j, level offset, exponent) of A_{i,0}^-1
         self._a_inv = {i: self._a_inv_template(i) for i in cartan.nodes()}
-        # ht(omega_i) = <omega_i, rho^v>, the column sums of C^-1
-        self._heights = _fundamental_heights(cartan)
 
     # -- series lookups ------------------------------------------------
 
@@ -427,7 +404,7 @@ class YtAlgebra:
         lambda = wt(m_plus); every monomial of a character with highest
         weight lambda has weight at least w0 lambda (Frenkel-Mukhin).
         """
-        bound = 2 * sum(self._heights[i - 1] * e for (i, _), e in m_plus.items())
+        bound = 2 * sum(self.cartan.heights[i - 1] * e for (i, _), e in m_plus.items())
         if bound.denominator != 1:
             raise InternalInconsistency(f"2<wt({m_plus}), rho^v> = {bound} is not an integer")
         return int(bound)

@@ -3,9 +3,12 @@
 The quantized Cartan matrix C(z) has quantum-integer entries; its inverse
 C~(z) is expanded as a series in descending powers of z, whose integer
 coefficients drive every commutation exponent downstream.  det C(z) and the
-adjugate adj C(z) come from a fraction-free (Bareiss) Gauss-Jordan
-elimination over integer Laurent polynomials; coefficients are then produced
-lazily by exact long division of adjugate entries by det C(z).
+adjugate adj C(z) come from one fraction-free (Bareiss) Gauss-Jordan
+elimination over integer Laurent polynomials, run while the matrix is
+validated: its pivots at z = 1 decide finite type, and adj C(1) / det C(1)
+= C^-1 gives the heights of the fundamental weights.  Series coefficients
+are then produced lazily by exact long division of adjugate entries by
+det C(z).
 
 Nodes are 1-based throughout the public API.
 """
@@ -56,13 +59,18 @@ def quantum_integer(n: int) -> dict:
     return {n - 1 - 2 * k: 1 for k in range(n)}
 
 
+def _at_one(p: dict) -> int:
+    """Value of a Laurent polynomial at z = 1."""
+    return sum(p.values())
+
+
 # ---------------------------------------------------------------------------
 # Cartan validation
 # ---------------------------------------------------------------------------
 
 
 class CartanMatrix:
-    """Validated finite-type generalized Cartan matrix."""
+    """Generalized Cartan matrix: integer entries checked against the axioms."""
 
     def __init__(self, entries):
         try:
@@ -152,49 +160,29 @@ def _symmetrizers(cm: CartanMatrix):
     return r
 
 
-def _positive_definite(sym_rows) -> bool:
-    """Leading-principal-minor test, exact over Fractions."""
-    n = len(sym_rows)
-    m = [[Fraction(x) for x in row] for row in sym_rows]
-    for k in range(n):
-        if m[k][k] <= 0:
-            return False
-        for i in range(k + 1, n):
-            f = m[i][k] / m[k][k]
-            for j in range(k, n):
-                m[i][j] -= f * m[k][j]
-    return True
+class SymmetrizedCartan(CartanMatrix):
+    """Validated finite-type Cartan matrix with r_i, C(z), det C(z) and adj C(z).
 
+    Construction checks the Cartan axioms, finds the symmetrizers and runs
+    the elimination of C(z), which raises NotFiniteType unless D C is
+    positive definite.  heights[k - 1] = ht(omega_k) = <omega_k, rho^v>, the
+    k-th column sum of C^-1 = adj C(1) / det C(1): A_{i,l} has weight
+    alpha_i = sum_j C_ji omega_j, so omega_k has root coordinates in column
+    k of C^-1.
+    """
 
-class SymmetrizedCartan:
-    """Finite-type Cartan matrix with symmetrizers r_i and the matrices C(z), B(z)."""
-
-    def __init__(self, base: CartanMatrix, r):
-        self.base = base
-        self.r = list(r)
-        n = base.n
-        self.cz = [[None] * n for _ in range(n)]
-        for i in base.nodes():
-            for j in base.nodes():
-                if i == j:
-                    self.cz[i - 1][j - 1] = {self.r[i - 1]: 1, -self.r[i - 1]: 1}
-                else:
-                    self.cz[i - 1][j - 1] = quantum_integer(base.c(i, j))
-        # B(z) = D(z) C(z) with D(z) = diag([r_i]_z); symmetric for valid input
-        self.bz = [
-            [zp_mul(quantum_integer(self.r[i]), self.cz[i][j]) for j in range(n)]
-            for i in range(n)
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.r = _symmetrizers(self)
+        self.cz = [
+            [{r: 1, -r: 1} if i == j else quantum_integer(c) for j, c in enumerate(row)]
+            for i, (r, row) in enumerate(zip(self.r, self.entries))
         ]
-
-    @property
-    def n(self):
-        return self.base.n
-
-    def nodes(self):
-        return self.base.nodes()
-
-    def c(self, i, j):
-        return self.base.c(i, j)
+        self.det, self.adj = _det_and_adjugate(self.cz)
+        det1 = _at_one(self.det)
+        self.heights = [
+            Fraction(sum(_at_one(row[k]) for row in self.adj), det1) for k in range(self.n)
+        ]
 
     def ri(self, i):
         return self.r[i - 1]
@@ -206,13 +194,8 @@ class SymmetrizedCartan:
 
 
 def validate_cartan(entries) -> SymmetrizedCartan:
-    """Validate a finite-type Cartan matrix and attach symmetrizers and C(z)/B(z)."""
-    cm = CartanMatrix(entries)
-    r = _symmetrizers(cm)
-    sym = [[r[i] * cm.entries[i][j] for j in range(cm.n)] for i in range(cm.n)]
-    if not _positive_definite(sym):
-        raise NotFiniteType("symmetrized matrix is not positive definite")
-    return SymmetrizedCartan(cm, r)
+    """Validate a finite-type Cartan matrix and attach r_i, C(z), det and adj."""
+    return SymmetrizedCartan(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +206,7 @@ def validate_cartan(entries) -> SymmetrizedCartan:
 class _DescendingQuotient:
     """Lazy expansion of num/den in Z((z^-1)) by exact long division."""
 
-    __slots__ = ("rem", "den", "den_deg", "den_lead", "coeffs", "low_mark")
+    __slots__ = ("rem", "den", "den_deg", "den_lead", "coeffs")
 
     def __init__(self, num: dict, den: dict):
         self.rem = dict(num)
@@ -231,8 +214,6 @@ class _DescendingQuotient:
         self.den_deg = max(den)
         self.den_lead = den[self.den_deg]
         self.coeffs = {}
-        # everything at degree >= low_mark is final
-        self.low_mark = (max(num) - self.den_deg + 1) if num else 0
 
     def coeff(self, r: int) -> int:
         while self.rem and max(self.rem) - self.den_deg >= r:
@@ -249,9 +230,6 @@ class _DescendingQuotient:
                     self.rem[nd] = v
                 elif nd in self.rem:
                     del self.rem[nd]
-            self.low_mark = e
-        if not self.rem:
-            self.low_mark = min(self.low_mark, r)
         return self.coeffs.get(r, 0)
 
 
@@ -266,25 +244,27 @@ def zp_exact_div(num: dict, den: dict) -> dict:
     return quotient.coeffs
 
 
-def _det_and_adjugate(mat):
-    """det M and adj M of a square Laurent-polynomial matrix, without fractions.
+def _det_and_adjugate(cz):
+    """det C(z) and adj C(z) without fractions; NotFiniteType unless D C > 0.
 
-    Fraction-free (Bareiss) Gauss-Jordan elimination on [M | I]: step k keeps
-    row k and replaces every other row i by (p_k M_i - M_ik M_k) / p_(k-1),
-    with p_k the k-th pivot and p_(-1) = 1.  Every entry stays a minor of
-    [M | I], so each division is exact, and at the end the left block is
-    det M times the identity and the right block is adj M.  No row swaps: the
-    pivots are the leading principal minors of M, nonzero for C(z) of finite
-    type because they are positive at z = 1.
+    Fraction-free (Bareiss) Gauss-Jordan elimination on [C(z) | I]: step k
+    keeps row k and replaces every other row i by (p_k M_i - M_ik M_k) /
+    p_(k-1), with p_k the k-th pivot and p_(-1) = 1.  Every entry stays a
+    minor of [C(z) | I], so each division is exact, and at the end the left
+    block is det C(z) times the identity and the right block is adj C(z).
+    No row swaps: the pivot p_k is the leading principal minor of order
+    k + 1, which at z = 1 is that of C.  The same minor of D C is
+    r_1 ... r_(k+1) times it, so by Sylvester's criterion D C is positive
+    definite exactly when every pivot is positive at z = 1.
     """
-    n = len(mat)
-    rows = [list(mat[i]) + [{0: 1} if j == i else {} for j in range(n)] for i in range(n)]
+    n = len(cz)
+    rows = [list(cz[i]) + [{0: 1} if j == i else {} for j in range(n)] for i in range(n)]
     prev = {0: 1}
     for k in range(n):
         pivot_row = rows[k]
         pivot = pivot_row[k]
-        if not pivot:
-            raise InternalInconsistency(f"leading principal minor {k + 1} vanishes")
+        if _at_one(pivot) <= 0:
+            raise NotFiniteType(f"symmetrized matrix is not positive definite (minor {k + 1})")
         for i in range(n):
             if i == k:
                 continue
@@ -306,15 +286,12 @@ class InvCartanSeries:
     cached.  Thread safety: a single lock guards cache extension.
     """
 
-    def __init__(self, owner: SymmetrizedCartan):
-        self.owner = owner
+    def __init__(self, cartan: SymmetrizedCartan):
         self._lock = threading.RLock()
-        det, adj = _det_and_adjugate(owner.cz)
-        n = owner.n
         self._quotients = {
-            (a + 1, b + 1): _DescendingQuotient(adj[a][b], det)
-            for a in range(n)
-            for b in range(n)
+            (a + 1, b + 1): _DescendingQuotient(entry, cartan.det)
+            for a, row in enumerate(cartan.adj)
+            for b, entry in enumerate(row)
         }
 
     def entry_coeff(self, a: int, b: int, r: int) -> int:
@@ -340,9 +317,11 @@ def named_cartan(name: str):
     if not isinstance(name, str):
         raise ParseError(f"Cartan type must be a string, not {name!r}")
     name = name.strip().upper()
-    if len(name) < 2 or name[0] not in "ABCDEFG" or not name[1:].isdigit():
+    fam, digits = name[:1], name[1:]
+    # ASCII only: isdigit() also takes "²", which int() rejects, and "١", read as 1
+    if fam not in tuple("ABCDEFG") or not (digits.isascii() and digits.isdigit()):
         raise ParseError(f"unknown Cartan type {name!r}")
-    fam, n = name[0], int(name[1:])
+    n = int(digits)
     if fam == "A" and n >= 1:
         return _chain(n)
     if fam == "B" and n >= 2:

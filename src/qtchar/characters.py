@@ -228,22 +228,13 @@ class RepElement:
         return out
 
     def __repr__(self):
+        # imported here so that `import qtchar` does not bind `qtchar.grammar`
+        from .grammar import format_rep_monomial
+
         if not self.terms:
             return "RepElement(0)"
-        parts = [f"({p}) {_rep_str(m)}" for m, p in sorted(self.terms.items(), key=lambda kv: kv[0].sortkey())]
+        parts = [f"({p}) {format_rep_monomial(m)}" for m, p in sorted(self.terms.items(), key=lambda kv: kv[0].sortkey())]
         return "RepElement[" + " + ".join(parts) + "]"
-
-
-def _rep_str(m: Monomial) -> str:
-    if m.is_unit():
-        return "1"
-    parts = []
-    for (i, l), e in m.items():
-        s = f"X[{i},{l}]"
-        if e != 1:
-            s += f"^{e}"
-        parts.append(s)
-    return " ".join(parts)
 
 
 def chi_qt(alg: YtAlgebra, x: RepElement, budget: Budget = DEFAULT_BUDGET) -> YtElement:

@@ -19,6 +19,7 @@ from .errors import BudgetExceeded, DomainError, ParseError, QtcharError
 from .grammar import (
     format_basis_monomial,
     format_element_text,
+    format_rep_monomial,
     parse_basis_monomial,
     parse_rep_monomial,
     serialize_element,
@@ -45,14 +46,19 @@ def _load_algebra(spec: str) -> YtAlgebra:
 
 
 def _budget(args) -> Budget:
+    """Budgets from their flag text: ASCII digits only, no sign, spaces or "_"."""
+    texts = {"--budget-monomials": args.budget_monomials, "--budget-depth": args.budget_depth}
+    for flag, text in texts.items():
+        if text is not None and not (text.isascii() and text.isdigit()):
+            raise ParseError(f"{flag} must be a positive ASCII integer, not {text!r}")
     try:
-        return Budget(args.budget_monomials, args.budget_depth)
+        return Budget(*(None if text is None else int(text) for text in texts.values()))
     except ValueError as exc:
         raise ParseError(f"--budget-monomials/--budget-depth: {exc}") from None
 
 
-def _seed_monomial(alg: YtAlgebra, text: str) -> Monomial:
-    m = parse_basis_monomial(text)
+def _within_rank(alg: YtAlgebra, m: Monomial) -> Monomial:
+    """m itself, once every node in it is a node of alg."""
     for (i, _), _e in m.items():
         if i not in alg.cartan.nodes():
             raise ParseError(f"node {i} outside rank-{alg.cartan.n} algebra")
@@ -88,7 +94,7 @@ def _dot_tree(tree) -> str:
 def cmd_tchar(args) -> int:
     alg = _load_algebra(args.cartan)
     budget = _budget(args)
-    seed = _seed_monomial(alg, args.seed)
+    seed = _within_rank(alg, parse_basis_monomial(args.seed))
     if args.format == "dot":
         tree = character_tree(alg, seed, budget)
         print(_dot_tree(tree))
@@ -108,7 +114,7 @@ def cmd_tchar(args) -> int:
 def cmd_kl(args) -> int:
     alg = _load_algebra(args.cartan)
     budget = _budget(args)
-    seed = _seed_monomial(alg, args.seed)
+    seed = _within_rank(alg, parse_basis_monomial(args.seed))
     rows, _ = lt_and_kl(alg, seed, budget)
     payload = {
         "seed": format_basis_monomial(seed),
@@ -136,15 +142,11 @@ def cmd_product(args) -> int:
     budget = _budget(args)
     from .characters import RepElement
 
-    x = RepElement.from_monomial(parse_rep_monomial(args.left))
-    y = RepElement.from_monomial(parse_rep_monomial(args.right))
+    x = RepElement.from_monomial(_within_rank(alg, parse_rep_monomial(args.left)))
+    y = RepElement.from_monomial(_within_rank(alg, parse_rep_monomial(args.right)))
     z = star_product(alg, x, y, budget)
-    rows = []
-    for m, p in sorted(z.items(), key=lambda kv: kv[0].sortkey()):
-        mono = " ".join(
-            f"X[{i},{l}]" + (f"^{e}" if e != 1 else "") for (i, l), e in m.items()
-        ) or "1"
-        rows.append((mono, p))
+    rows = [(format_rep_monomial(m), p)
+            for m, p in sorted(z.items(), key=lambda kv: kv[0].sortkey())]
     if args.format == "text":
         for mono, p in rows:
             print(f"({p.at_one() if args.t1 else p})  {mono}")
@@ -173,8 +175,8 @@ def cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--cartan", default="A1", help="Cartan type name or JSON")
-    common.add_argument("--budget-monomials", type=int, default=200000)
-    common.add_argument("--budget-depth", type=int, default=None,
+    common.add_argument("--budget-monomials", default="200000")
+    common.add_argument("--budget-depth", default=None,
                         help="optional cap on the A-depth (default: the exact bound)")
     common.add_argument("--format", choices=["json", "dot", "text"], default="json")
     common.add_argument("--t1", action="store_true", help="specialize output at t = 1")

@@ -164,3 +164,8 @@ def parse_rep_monomial(text: str) -> Monomial:
             raise ParseError(f"negative exponent in Rep-monomial factor {tok!r}")
         d[(i, l)] = d.get((i, l), 0) + e
     return Monomial(d)
+
+
+def format_rep_monomial(m: Monomial) -> str:
+    """The Y-grammar form of m with X in place of Y; "1" for the unit."""
+    return format_basis_monomial(m).replace("Y[", "X[")

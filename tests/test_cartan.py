@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -53,6 +54,9 @@ def test_named_types_shapes():
         named_cartan("H2")
     with pytest.raises(ParseError):
         named_cartan("B1")
+    for name in ["A\u00b2", "A\u0661", "A\uff13"]:  # superscript, Arabic-Indic, full-width
+        with pytest.raises(ParseError):
+            named_cartan(name)
 
 
 def test_validation_errors():
@@ -66,6 +70,19 @@ def test_validation_errors():
         validate_cartan([[2, -2], [-2, 2]])  # affine
     with pytest.raises(NotFiniteType):
         validate_cartan([[2, -4], [-1, 2]])
+    # the elimination pivot that first fails to be positive at z = 1
+    for entries in [
+        [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],  # affine A2(1): minor 3 is 0
+        [[2, -3], [-3, 2]],  # hyperbolic: minor 2 is -5
+        [[2, 0, -1, 0, 0], [0, 2, -1, 0, 0], [-1, -1, 2, -1, -1],
+         [0, 0, -1, 2, 0], [0, 0, -1, 0, 2]],  # affine D4(1): minor 5 is 0
+        [[2, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 2, -2], [0, 0, -2, 2]],  # A2 + A1(1): minor 4 is 0
+    ]:
+        with pytest.raises(NotFiniteType):
+            validate_cartan(entries)
+    a1_a2 = validate_cartan([[2, 0, 0], [0, 2, -1], [0, -1, 2]])
+    assert a1_a2.r == [1, 1, 1]
+    assert a1_a2.heights == [Fraction(1, 2), 1, 1]
 
 
 def test_symmetrizable_consistency():

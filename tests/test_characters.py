@@ -81,10 +81,14 @@ def test_a_depth_is_additive_along_blocks(name, node):
             assert alg.a_depth(mr, seed) == depth[m] + alg.a_depth(mr, m), (m, mr)
 
 
+A1_A2 = [[2, 0, 0], [0, 2, -1], [0, -1, 2]]
+
+
 @pytest.mark.parametrize(
     "name,node,bound",
     [("E6", 4, 42), ("E7", 2, 49), ("F4", 3, 42), ("G2", 1, 6), ("G2", 2, 10),
-     ("B3", 2, 8), ("C3", 2, 10), ("A4", 2, 6), ("D5", 3, 18)],
+     ("B3", 2, 8), ("C3", 2, 10), ("A4", 2, 6), ("D5", 3, 18),
+     (A1_A2, 1, 1), (A1_A2, 3, 2)],
 )
 def test_exact_depth_bound_is_reached(name, node, bound):
     """2<wt(m_plus), rho^v> equals the deepest monomial of the fundamental."""

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtchar.cli import main
 from qtchar.grammar import parse_element
@@ -63,6 +67,9 @@ def test_parse_error_exit_2(capsys):
     assert code == 2
     code, _, err = run(capsys, "tchar", "Y[2,0]")  # node outside rank 1
     assert code == 2
+    for node in (2, 0, -1):
+        code, out, err = run(capsys, "product", "X[1,0]", f"X[{node},0]")
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
     code, out, err = run(capsys, "tchar", "Y[\u0661,0]")  # Arabic-Indic digit one
     assert code == 2 and out == "" and len(err.splitlines()) == 1
 
@@ -75,6 +82,11 @@ def test_parse_error_exit_2(capsys):
         ["--cartan", '{"type": "A2", "matrix": [[2, -1], [-1, 2]]}'],
         ["--budget-monomials", "0"],
         ["--budget-depth", "0"],
+        ["--budget-monomials", "\u0661"],  # Arabic-Indic digit one
+        ["--budget-monomials", " 3 "],
+        ["--budget-depth", "\uff13"],  # full-width digit three
+        ["--budget-monomials", "1_000"],
+        ["--budget-depth", "x"],
     ],
 )
 def test_bad_cartan_and_budget_exit_2(capsys, argv):
@@ -150,3 +162,88 @@ def test_verify_involution_text(capsys):
     code, out, _ = run(capsys, "verify", "--format", "text", "involution")
     assert code == 0
     assert out.count("PASS") == 3 and "suite passed" in out
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every input exits 0, 2, 3, 4 or 5; a failure prints one stderr line
+# ---------------------------------------------------------------------------
+
+
+def _weighted(*pairs):
+    """Draw from each strategy with the given weight (one_of merges repeats)."""
+    return st.sampled_from([s for w, s in pairs for _ in range(w)]).flatmap(lambda s: s)
+
+
+_junk = st.text(st.characters(blacklist_characters="0123456789"), max_size=6)
+_small = st.integers(-3, 4)
+
+
+def _valid_factor(letter):
+    return st.builds(lambda i, l, e: f"{letter}[{i},{l}]" + (f"^{e}" if e > 1 else ""),
+                     st.integers(1, 3), _small, st.integers(1, 2))
+
+
+@st.composite
+def _odd_factor(draw, letter):
+    i, l, e = draw(_small), draw(_small), draw(st.integers(-2, 2))
+    other_digit = draw(st.sampled_from(["١", "３", "²", "१"]))
+    return draw(st.sampled_from([
+        f"{letter}[{i},{l}]^{e}",
+        f"{letter}[{l}]",
+        f"{letter}[{other_digit},{l}]",
+        f"A[{i},{l}]^{e}",
+        f"t^{e}",
+        "t",
+        ":",
+    ]))
+
+
+def _monomial_text(letter, size):
+    token = _weighted((3, _valid_factor(letter)), (1, _odd_factor(letter)), (1, _junk))
+    return st.lists(token, max_size=size).map(" ".join)
+
+
+_cartan = _weighted(
+    (4, st.sampled_from(["A1", "A2", "B2", "C2", "G2", "A3", "b2", '{"type": "A2"}'])),
+    (1, st.sampled_from(["Q9", "B1", "H2", "E9", "A²", "A١", '{"type": 5}', "{oops"])),
+    (1, _junk),
+    (1, st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-4, 3), min_size=n, max_size=n), min_size=n, max_size=n,
+    )).map(lambda m: json.dumps({"matrix": m}))),
+)
+_budget_text = _weighted(
+    (3, st.integers(1, 300).map(str)),
+    (1, st.sampled_from(["0", " 3 ", "1_000", "+5", "-1", "", "١", "３"])),
+    (1, _junk),
+)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["tchar", "kl", "product"]))
+    argv = [command, f"--cartan={draw(_cartan)}",
+            f"--budget-monomials={draw(_budget_text)}",
+            f"--format={draw(st.sampled_from(['json', 'json', 'text', 'dot']))}"]
+    if draw(st.integers(0, 3)) == 0:
+        argv.append(f"--budget-depth={draw(_budget_text)}")
+    if draw(st.booleans()):
+        argv.append("--t1")
+    argv.append("--")  # a seed may start with "-"
+    # one factor per product side: several fundamentals can take seconds
+    if command == "product":
+        argv += [draw(_monomial_text("X", 1)), draw(_monomial_text("X", 1))]
+    else:
+        argv.append(draw(_monomial_text("Y", 3)))
+    return argv
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_argv())
+def test_cli_fuzz_exit_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4, 5)
+    if code:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()

@@ -7,6 +7,7 @@ from qtchar.errors import ParseError
 from qtchar.grammar import (
     format_basis_monomial,
     format_element_text,
+    format_rep_monomial,
     parse_basis_monomial,
     parse_element,
     parse_element_lines,
@@ -111,6 +112,10 @@ def test_format_element_text(sl2):
 
 def test_rep_monomial_grammar():
     assert parse_rep_monomial("X[1,0]^2 X[2,3]") == Monomial({(1, 0): 2, (2, 3): 1})
+    m = Monomial({(2, -3): 1, (1, 0): 2, (3, 5): 4})
+    assert format_rep_monomial(m) == "X[1,0]^2 X[2,-3] X[3,5]^4"
+    assert parse_rep_monomial(format_rep_monomial(m)) == m
+    assert format_rep_monomial(Monomial.unit()) == "1"
     with pytest.raises(ParseError):
         parse_rep_monomial("X[1,0]^-1")
     with pytest.raises(ParseError):
