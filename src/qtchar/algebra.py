@@ -232,8 +232,6 @@ class YtAlgebra:
     def __init__(self, cartan: SymmetrizedCartan):
         self.cartan = cartan
         self.series = InvCartanSeries(cartan)
-        # cache used by characters.fundamental
-        self.fundamental_cache = {}
         self._n_pair_cache = {}
         # per node i, the Y-entries (j, level offset, exponent) of A_{i,0}^-1
         self._a_inv = {i: self._a_inv_template(i) for i in cartan.nodes()}
@@ -347,7 +345,11 @@ class YtAlgebra:
 
     def a_monomial_expand(self, v: dict) -> Monomial:
         """Y-exponent map of prod A_{i,l}^-v_{i,l}."""
-        d = {}
+        return self.yv_exponents({}, v)
+
+    def yv_exponents(self, y: dict, v: dict) -> Monomial:
+        """Y-exponent map of prod Y^y * prod A_{i,l}^-v_{i,l}."""
+        d = dict(y)
         for (i, l), e in v.items():
             for j, dl, de in self._a_inv[i]:
                 key = (j, l + dl)
@@ -459,11 +461,6 @@ class YtAlgebra:
     def _require_ade(self):
         if not self.cartan.is_simply_laced():
             raise NotSimplyLaced("operation requires an ADE Cartan matrix")
-
-    def yv_exponents(self, y: dict, v: dict) -> Monomial:
-        """Y-exponent map of prod Y^y * prod A^-v."""
-        m = Monomial(y)
-        return m.times(self.a_monomial_expand(v))
 
     def d_bicharacter(self, y1: dict, v1: dict, y2: dict, v2: dict) -> int:
         """The correction bicharacter d on (y, v)-presented monomials (ADE only)."""

@@ -19,7 +19,14 @@ import threading
 from fractions import Fraction
 from math import gcd
 
-from .errors import InternalInconsistency, NotCartan, NotFiniteType, NotSymmetrizable, ParseError
+from .errors import (
+    InternalInconsistency,
+    NotCartan,
+    NotFiniteType,
+    NotSymmetrizable,
+    ParseError,
+    parse_int,
+)
 
 # ---------------------------------------------------------------------------
 # sparse Laurent polynomials in z: dict exponent -> int
@@ -321,7 +328,7 @@ def named_cartan(name: str):
     # ASCII only: isdigit() also takes "²", which int() rejects, and "١", read as 1
     if fam not in tuple("ABCDEFG") or not (digits.isascii() and digits.isdigit()):
         raise ParseError(f"unknown Cartan type {name!r}")
-    n = int(digits)
+    n = parse_int(digits, f"Cartan type {name[:20]!r}")
     if fam == "A" and n >= 1:
         return _chain(n)
     if fam == "B" and n >= 2:

@@ -4,6 +4,7 @@ and the bar-invariant canonical basis with its KL-analogue polynomials."""
 from __future__ import annotations
 
 import heapq
+import weakref
 from dataclasses import dataclass
 
 from .algebra import Monomial, YtAlgebra, YtElement
@@ -62,7 +63,9 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
     Monomials are processed in (A-depth, lexicographic) order, which extends
     the partial order.  Each processed node-i-dominant monomial with nonzero
     leftover coefficient contributes its f_it expansion to the accumulators;
-    a non-dominant monomial must receive the same value from every node that
+    f_it lifts rank-1 characters with the local A-twist, and a node where the
+    monomial has no Y_i factor is skipped, f_it being the monomial alone.
+    A non-dominant monomial must receive the same value from every node that
     sees a negative exponent, and disagreement aborts loudly.  A monomial
     first met in the expansion of m gets the A-depth of m plus its depth
     below m; past the bound of depth_bound the run aborts as inconsistent.
@@ -79,13 +82,16 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
     cap = budget.max_a_depth
     while heap:
         depth_m, _, m = heapq.heappop(heap)
+        neg, pos = set(), set()  # nodes with a negative / positive exponent in m
+        for (i, _), e in m.items():
+            (neg if e < 0 else pos).add(i)
         si = {i: acc[i].pop(m, ZERO) for i in nodes}
         if m == m_plus:
             sm = ONE
-        elif m.is_dominant():
+        elif not neg:
             sm = ZERO
         else:
-            vals = [si[i] for i in nodes if not m.is_dominant([i])]
+            vals = [si[i] for i in nodes if i in neg]
             for v in vals[1:]:
                 if v != vals[0]:
                     raise AlgorithmFails(
@@ -94,7 +100,8 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
             sm = vals[0]
         s[m] = sm
         for i in nodes:
-            if not m.is_dominant([i]):
+            # with no Y_i factor, f_it(alg, i, m) is m alone and adds nothing
+            if i in neg or i not in pos:
                 continue
             mu_i = sm - si[i]
             if mu_i.is_zero():
@@ -131,12 +138,18 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
     return result
 
 
+# algebra -> {node i: fundamental character with highest monomial Y_{i,0}};
+# an entry lives as long as its algebra
+_FUNDAMENTALS = weakref.WeakKeyDictionary()
+
+
 def fundamental(alg: YtAlgebra, i: int, l: int = 0, budget: Budget = DEFAULT_BUDGET) -> YtElement:
     """Deformed character of the fundamental with highest monomial Y_{i,l}."""
-    base = alg.fundamental_cache.get(i)
+    cache = _FUNDAMENTALS.setdefault(alg, {})
+    base = cache.get(i)
     if base is None:
         base = t_algorithm(alg, Monomial.y(i, 0), budget)
-        alg.fundamental_cache[i] = base
+        cache[i] = base
     return base if l == 0 else base.shift(l)
 
 
@@ -155,6 +168,10 @@ def e_t(alg: YtAlgebra, m: Monomial, budget: Budget = DEFAULT_BUDGET) -> YtEleme
         factor = fundamental(alg, i, l, budget)
         for _ in range(u):
             acc = alg.mul(acc, factor)
+            if len(acc) > budget.max_monomials:
+                raise BudgetExceeded(
+                    f"E_t({m}) reached {len(acc)} monomials, more than {budget.max_monomials}"
+                )
     return acc
 
 

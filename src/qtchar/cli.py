@@ -15,7 +15,7 @@ import sys
 from .algebra import Monomial, YtAlgebra, YtElement
 from .cartan import cartan_from_json
 from .characters import Budget, character_tree, lt_and_kl, star_product, t_algorithm
-from .errors import BudgetExceeded, DomainError, ParseError, QtcharError
+from .errors import BudgetExceeded, DomainError, ParseError, QtcharError, parse_int
 from .grammar import (
     format_basis_monomial,
     format_element_text,
@@ -38,7 +38,7 @@ def _load_algebra(spec: str) -> YtAlgebra:
     spec = spec.strip()
     if spec.startswith("{"):
         try:
-            obj = json.loads(spec)
+            obj = json.loads(spec, parse_int=lambda text: parse_int(text, "Cartan JSON"))
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad Cartan JSON: {exc}") from None
         return YtAlgebra(cartan_from_json(obj))
@@ -52,7 +52,8 @@ def _budget(args) -> Budget:
         if text is not None and not (text.isascii() and text.isdigit()):
             raise ParseError(f"{flag} must be a positive ASCII integer, not {text!r}")
     try:
-        return Budget(*(None if text is None else int(text) for text in texts.values()))
+        return Budget(*(None if text is None else parse_int(text, flag)
+                        for flag, text in texts.items()))
     except ValueError as exc:
         raise ParseError(f"--budget-monomials/--budget-depth: {exc}") from None
 

@@ -1,4 +1,5 @@
-"""Exception hierarchy for the qtchar library.
+"""Exception hierarchy for the qtchar library, and the digit limit on
+integers read from text.
 
 The CLI maps these onto process exit codes; see qtchar.cli.
 """
@@ -10,6 +11,19 @@ class QtcharError(Exception):
 
 class ParseError(QtcharError):
     """Malformed monomial text or Cartan JSON."""
+
+
+# Longest digit string read as an integer from text input, well below the
+# 4300 digits past which int() raises ValueError instead of converting.
+MAX_DIGITS = 100
+
+
+def parse_int(text: str, what: str) -> int:
+    """int(text) for text already checked to be an optional "-" and ASCII
+    digits; ParseError when it has more than MAX_DIGITS digits."""
+    if len(text.lstrip("-")) > MAX_DIGITS:
+        raise ParseError(f"{what}: more than {MAX_DIGITS} digits")
+    return int(text)
 
 
 class DomainError(QtcharError):

@@ -10,6 +10,8 @@ left to right in the twisted algebra:
     : ... :      normal-ordered group; the enclosed Y/A factors are combined
                  as a plain exponent map, with no commutation t-powers
 
+Indices and exponents are ASCII integers of at most errors.MAX_DIGITS digits.
+
 Serialized elements carry each basis monomial as its plain exponent map
 (the normal-ordered string), so parse(serialize(x)) == x exactly.
 """
@@ -19,7 +21,7 @@ from __future__ import annotations
 import re
 
 from .algebra import Monomial, YtAlgebra, YtElement
-from .errors import ParseError
+from .errors import ParseError, parse_int
 from .tpoly import TPoly
 
 # re.ASCII: \d must not match other Unicode digits, which int() would accept
@@ -31,18 +33,16 @@ _TPOW = re.compile(r"^t(?:\^(?P<exp>-?\d+))?$", re.ASCII)
 
 def _parse_factor(tok: str):
     """Return ('t', a) or (var, i, l, e)."""
+    what = f"factor {tok[:20]!r}"
     m = _TPOW.match(tok)
     if m:
-        return ("t", int(m.group("exp") or 1))
+        return ("t", parse_int(m.group("exp") or "1", what))
     m = _FACTOR.match(tok)
     if not m:
         raise ParseError(f"bad factor {tok!r}")
-    idx = m.group("idx").split(",")
-    if len(idx) == 1:
-        i, l = 1, int(idx[0])
-    else:
-        i, l = int(idx[0]), int(idx[1])
-    e = int(m.group("exp")) if m.group("exp") is not None else 1
+    idx = [parse_int(text, what) for text in m.group("idx").split(",")]
+    i, l = idx if len(idx) == 2 else (1, idx[0])
+    e = parse_int(m.group("exp") or "1", what)
     var = m.group("var")
     if e == 0:
         raise ParseError(f"zero exponent in {tok!r}")

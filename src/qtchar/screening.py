@@ -10,7 +10,7 @@ from __future__ import annotations
 from .algebra import Monomial, YtAlgebra, YtElement
 from .errors import NotIDominant
 from .sl2 import ft_sl2, sl2_algebra
-from .tpoly import ONE, ZERO, TPoly
+from .tpoly import ONE, TPoly
 
 
 class ScreeningVector:
@@ -123,10 +123,9 @@ def _residue_shadows(alg: YtAlgebra, i: int, m: Monomial):
     return {k: Monomial(d) for k, d in shadows.items()}
 
 
-# dominant rank-1 shadow mk -> ft_sl2(mk) in A-string form: one (v, c) per
-# term lam * mu of ft_sl2(mk), where mu = mk * prod A_{1,level}^-exponent
-# over v, a tuple of (level, exponent), and c = lam * t^-N(mk, A^-v) is the
-# coefficient the lift multiplies onto m; a value depends only on mk
+# dominant rank-1 shadow mk -> ft_sl2(mk) in A-string form: one (v, lam) per
+# term lam * mu of ft_sl2(mk), where mu = mk * prod A_{1,level}^-exponent over
+# v, a tuple of (level, exponent); a value depends only on mk
 _STRINGS = {}
 
 
@@ -139,8 +138,7 @@ def _a_strings(mk: Monomial):
             v = s2.factor_over_A(mu, mk)
             if v is None:
                 raise NotIDominant(f"rank-1 character term {mu} does not factor over {mk}")
-            c = lam * TPoly.t_power(-s2.bichar_n(mk, s2.a_monomial_expand(v)))
-            strings.append((tuple((lv, e) for (_, lv), e in v.items()), c))
+            strings.append((tuple((lv, e) for (_, lv), e in v.items()), lam))
         _STRINGS[mk] = strings
     return strings
 
@@ -148,19 +146,30 @@ def _a_strings(mk: Monomial):
 def f_it(alg: YtAlgebra, i: int, m: Monomial) -> YtElement:
     """Kernel element with m as its unique i-dominant monomial.
 
-    Built by lifting the rank-1 character of each residue shadow: take
-    ft_sl2 of the shadow as an A^-1-string polynomial, relabel the string
-    levels back to node i, and multiply everything onto m.
+    Lifts the rank-1 character of each residue shadow mk of m (its node-i
+    exponents on the levels k mod r_i): f_it is the twisted product
+    m * prod_k sum lam t^-N(mk, A^-v) A^-W, summed over the terms
+    lam * mk A^-v of ft_sl2(mk), with W the string v relabelled back to
+    node i.  The twist is local in the A variables: C(z) C~(z) = I gives
+    N(Y_{j,k}, A_{i,l}^-1) = +1 at (j, k) = (i, l + r_i), -1 at
+    (i, l - r_i) and 0 otherwise.  Hence N(A_{i,k}^-1, A_{i,l}^-1) is
+    nonzero only at |k - l| = 2 r_i, so the factors of different classes
+    multiply untwisted, and the twist N(m, A^-W) =
+    sum_l W_l (u_i(l + r_i) - u_i(l - r_i)) of each term equals the
+    rank-1 N(mk, A^-v) and cancels.  Each term m A^-W therefore has
+    coefficient prod lam, with no twisted product or bicharacter lookup.
     """
     _check_i_dominant(alg, i, m)
     ri = alg.cartan.ri(i)
-    result = YtElement.from_monomial(m)
-    for k, mk in sorted(_residue_shadows(alg, i, m).items()):
-        chi = {}
-        for v, c in _a_strings(mk):
-            target = alg.a_monomial_expand({(i, k + lv * ri): e for lv, e in v})
-            chi[target] = chi.get(target, ZERO) + c
-        result = alg.mul(result, YtElement(chi))
+    classes = [
+        [({(i, k + lv * ri): e for lv, e in v}, lam) for v, lam in _a_strings(mk)]
+        for k, mk in _residue_shadows(alg, i, m).items()
+    ]
+    terms = classes[0] if classes else [({}, ONE)]  # (W, coefficient)
+    for strings in classes[1:]:
+        terms = [({**w, **wk}, p * lam) for w, p in terms for wk, lam in strings]
+    y = dict(m.items())
+    result = YtElement({alg.yv_exponents(y, w): p for w, p in terms})
     if result.coeff(m) != ONE:
         raise AssertionError(f"f_it leading coefficient on {m} is {result.coeff(m)}")
     return result

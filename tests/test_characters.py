@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -104,6 +106,19 @@ def test_fundamental_shift(b2):
     f3 = fundamental(b2, 1, 3)
     assert f3 == f0.shift(3)
     assert f3.coeff(Monomial.y(1, 3)) == ONE
+
+
+def test_fundamental_cached_per_algebra():
+    """Computed once per algebra and node; the cache does not keep the algebra alive."""
+    alg = algebra("B2")
+    first = fundamental(alg, 2)
+    assert fundamental(alg, 2, 4) == first.shift(4)
+    assert fundamental(alg, 2) is first
+    assert fundamental(algebra("B2"), 2) is not first
+    ref = weakref.ref(alg)
+    del alg
+    gc.collect()
+    assert ref() is None
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2"])

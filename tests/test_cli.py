@@ -72,6 +72,9 @@ def test_parse_error_exit_2(capsys):
         assert code == 2 and out == "" and len(err.splitlines()) == 1
     code, out, err = run(capsys, "tchar", "Y[\u0661,0]")  # Arabic-Indic digit one
     assert code == 2 and out == "" and len(err.splitlines()) == 1
+    for seed in ("Y[1,0]^" + "9" * 5000, "Y[1,%s]" % ("9" * 5000), "t^" + "9" * 5000):
+        code, out, err = run(capsys, "tchar", seed)  # past int()'s 4300-digit limit
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(
@@ -87,6 +90,9 @@ def test_parse_error_exit_2(capsys):
         ["--budget-depth", "\uff13"],  # full-width digit three
         ["--budget-monomials", "1_000"],
         ["--budget-depth", "x"],
+        ["--cartan", "A" + "9" * 5000],  # past int()'s 4300-digit limit
+        ["--cartan", '{"matrix": [[%s]]}' % ("9" * 5000)],
+        ["--budget-monomials", "9" * 5000],
     ],
 )
 def test_bad_cartan_and_budget_exit_2(capsys, argv):
@@ -143,6 +149,14 @@ def test_seed_past_monomial_budget_exit_4(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 4 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("budget exceeded")
+
+
+def test_product_running_size_exit_4(capsys):
+    """E_t's running product is held to --budget-monomials after each factor."""
+    code, out, err = run(capsys, "product", "--cartan", "G2", "--budget-monomials", "300",
+                         "X[2,0] X[2,1]", "X[2,2] X[2,3]")
+    assert code == 4 and out == ""
+    assert len(err.splitlines()) == 1 and "2745 monomials" in err
 
 
 def test_verify_appendix(capsys):

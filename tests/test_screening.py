@@ -13,7 +13,9 @@ from qtchar.screening import (
     in_kernel_all,
     s_it,
 )
-from qtchar.tpoly import ONE
+from qtchar.sl2 import ft_sl2, sl2_algebra
+from qtchar.suites import KERNEL_TYPES
+from qtchar.tpoly import ONE, ZERO, TPoly
 
 from conftest import random_element
 
@@ -105,3 +107,81 @@ def test_kernel_closed_under_products(b2):
     f2 = f_it(b2, 1, Monomial.y(1, 3))
     assert in_kernel(b2, 1, b2.mul(f1, f2))
     assert in_kernel(b2, 1, f1 + f2.scale(ONE))
+
+
+# ---------------------------------------------------------------------------
+# the local lift against the twisted product it replaces
+# ---------------------------------------------------------------------------
+
+
+def _f_it_by_mul(alg, i, m):
+    """f_it as the twisted product m * prod_k chi_k, chi_k the lifted A-string
+    polynomial of the rank-1 shadow of m in residue class k."""
+    s2 = sl2_algebra()
+    ri = alg.cartan.ri(i)
+    shadows = {}
+    for (j, l), u in m.items():
+        if j == i:
+            shadows.setdefault(l % ri, {})[(1, l // ri)] = u
+    result = YtElement.from_monomial(m)
+    for k, shadow in sorted(shadows.items()):
+        mk = Monomial(shadow)
+        chi = {}
+        for mu, lam in ft_sl2(s2, mk).items():
+            v = s2.factor_over_A(mu, mk)
+            c = lam * TPoly.t_power(-s2.bichar_n(mk, s2.a_monomial_expand(v)))
+            target = alg.a_monomial_expand({(i, k + lv * ri): e for (_, lv), e in v.items()})
+            chi[target] = chi.get(target, ZERO) + c
+        result = alg.mul(result, YtElement(chi))
+    return result
+
+
+def _random_i_dominant(alg, i, rng):
+    """Exponents 1..3 at node i on levels of 1 to 3 residue classes mod r_i,
+    plus spectator factors of either sign at the other nodes."""
+    ri = alg.cartan.ri(i)
+    d = {}
+    for k in rng.sample(range(ri), rng.randint(1, min(ri, 3))):
+        for lv in rng.sample(range(-2, 3), rng.randint(1, 2)):
+            d[(i, k + lv * ri)] = rng.randint(1, 3)
+    for j in alg.cartan.nodes():
+        if j != i and rng.random() < 0.5:
+            d[(j, rng.randint(-4, 4))] = rng.choice([-2, -1, 1, 2])
+    return Monomial(d)
+
+
+@pytest.mark.parametrize("name", KERNEL_TYPES + ["E6", "F4"])
+def test_f_it_matches_twisted_product(name):
+    alg = algebra(name)
+    rng = random.Random(f"f_it {name}")
+    for i in alg.cartan.nodes():
+        for _ in range(8):
+            m = _random_i_dominant(alg, i, rng)
+            assert f_it(alg, i, m) == _f_it_by_mul(alg, i, m), (i, m)
+
+
+@pytest.mark.parametrize("name", ["A3", "B2", "G2", "F4", "E6", "E8"])
+def test_y_against_a_inverse_twist_is_local(name):
+    """N(Y_{j,k}, A_{i,l}^-1) is +1 at (i, l + r_i), -1 at (i, l - r_i), else 0."""
+    alg = algebra(name)
+    nodes = list(alg.cartan.nodes())
+    for i in nodes:
+        ri = alg.cartan.ri(i)
+        for l in (0, 5):
+            a_inv = alg.a_expand_inv(i, l)
+            for j in nodes:
+                for k in range(l - 40, l + 41):
+                    local = (j == i) * ((k == l + ri) - (k == l - ri))
+                    assert alg.bichar_n(Monomial.y(j, k), a_inv) == local, (i, l, j, k)
+
+
+@pytest.mark.parametrize("name", ["B2", "C3", "G2", "F4"])
+def test_a_strings_of_different_residues_commute_untwisted(name):
+    """N(A_{i,k}^-1, A_{i,l}^-1) = 0 for k != l mod r_i."""
+    alg = algebra(name)
+    for i in alg.cartan.nodes():
+        ri = alg.cartan.ri(i)
+        for k in range(-3 * ri, 3 * ri + 1):
+            if k % ri:
+                n = alg.bichar_n(alg.a_expand_inv(i, k), alg.a_expand_inv(i, 0))
+                assert n == 0, (i, k)
