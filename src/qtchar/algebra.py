@@ -54,10 +54,18 @@ class Monomial:
         return self.data
 
     def times(self, other: "Monomial") -> "Monomial":
+        if not other.data:
+            return self
+        if not self.data:
+            return other
         d = dict(self.data)
         for k, e in other.data:
             d[k] = d.get(k, 0) + e
-        return Monomial(d)
+        # sorted and zero-free already, so the validating constructor is skipped
+        m = object.__new__(Monomial)
+        m.data = items = tuple(sorted([kv for kv in d.items() if kv[1]]))
+        m._hash = hash(items)
+        return m
 
     def power(self, n: int) -> "Monomial":
         return Monomial({k: n * e for k, e in self.data})
@@ -297,19 +305,62 @@ class YtAlgebra:
     # -- products -------------------------------------------------------
 
     def mul(self, *elements: YtElement) -> YtElement:
-        """Product in the twisted algebra: m1 * m2 = t^N(m1,m2) (m1 m2)."""
+        """Product in the twisted algebra: m1 * m2 = t^N(m1,m2) (m1 m2).
+
+        The terms of each right factor are grouped once per call: a term m2
+        joins the group of the latest reference n0 if it factors over it,
+        m2 = n0 A^-w, and otherwise becomes the next reference, with w = {}.
+        Trying only the latest reference costs one factor_over_A per term;
+        the terms of a fundamental or of E_t follow their highest monomial,
+        so they form one group.  C(z) C~(z) = I gives N(m1, A_{i,l}^-1) = u_{i,l+r_i}(m1) -
+        u_{i,l-r_i}(m1), so N(m1, m2) = N(m1, n0) + sum_k psi_k u_k(m1), with
+        psi = +w at (i, l + r_i) and -w at (i, l - r_i): one bichar_n per
+        left term and group, then a few lookups per pair.  A term in a group
+        of its own therefore costs one bichar_n per pair, as before.
+        Coefficients are summed as integer maps that become the result TPolys.
+        """
         if not elements:
             return YtElement.unit()
         acc = elements[0]
         for other in elements[1:]:
-            d = {}
+            refs, right = self._twist_groups(other)
+            out = {}
             for m1, p1 in acc.terms.items():
-                for m2, p2 in other.terms.items():
+                u1 = dict(m1.data)
+                base = [self.bichar_n(m1, n0) for n0 in refs]
+                c1 = p1.coeffs.items()
+                for m2, g, psi, c2 in right:
+                    n = base[g]
+                    for k, c in psi:
+                        n += c * u1.get(k, 0)
                     key = m1.times(m2)
-                    tw = TPoly.t_power(self.bichar_n(m1, m2))
-                    d[key] = d.get(key, TPoly.zero()) + p1 * p2 * tw
-            acc = YtElement(d)
+                    d = out.get(key)
+                    if d is None:
+                        d = out[key] = {}
+                    for e2, b in c2:
+                        s = e2 + n
+                        for e1, a in c1:
+                            d[e1 + s] = d.get(e1 + s, 0) + a * b
+            acc = YtElement({m: TPoly.adopt(d) for m, d in out.items()})
         return acc
+
+    def _twist_groups(self, x: YtElement):
+        """The references n0 of mul, and (m2, group, psi, coefficient items) per term."""
+        r = self.cartan.r
+        refs, right = [], []
+        for m2, p2 in x.terms.items():
+            w = self.factor_over_A(m2, refs[-1]) if refs else None
+            if w is None:
+                refs.append(m2)
+                w = {}
+            g = len(refs) - 1
+            psi = {}
+            for (i, l), e in w.items():
+                ri = r[i - 1]
+                psi[(i, l + ri)] = psi.get((i, l + ri), 0) + e
+                psi[(i, l - ri)] = psi.get((i, l - ri), 0) - e
+            right.append((m2, g, [kc for kc in psi.items() if kc[1]], p2.coeffs.items()))
+        return refs, right
 
     def word_product(self, word) -> YtElement:
         """Product of Y-generators (i, l, e) taken left to right."""

@@ -15,11 +15,12 @@ Nodes are 1-based throughout the public API.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import gcd
 
 from .errors import (
+    MAX_RANK,
+    BudgetExceeded,
     InternalInconsistency,
     NotCartan,
     NotFiniteType,
@@ -167,19 +168,25 @@ def _symmetrizers(cm: CartanMatrix):
     return r
 
 
+def _check_rank(n: int):
+    if n > MAX_RANK:
+        raise BudgetExceeded(f"Cartan rank {n} is more than {MAX_RANK}")
+
+
 class SymmetrizedCartan(CartanMatrix):
     """Validated finite-type Cartan matrix with r_i, C(z), det C(z) and adj C(z).
 
-    Construction checks the Cartan axioms, finds the symmetrizers and runs
-    the elimination of C(z), which raises NotFiniteType unless D C is
-    positive definite.  heights[k - 1] = ht(omega_k) = <omega_k, rho^v>, the
-    k-th column sum of C^-1 = adj C(1) / det C(1): A_{i,l} has weight
-    alpha_i = sum_j C_ji omega_j, so omega_k has root coordinates in column
-    k of C^-1.
+    Construction checks the Cartan axioms and the rank limit MAX_RANK (as
+    BudgetExceeded), finds the symmetrizers and runs the elimination of
+    C(z), which raises NotFiniteType unless D C is positive definite.
+    heights[k - 1] = ht(omega_k) = <omega_k, rho^v>, the k-th column sum of
+    C^-1 = adj C(1) / det C(1): A_{i,l} has weight alpha_i = sum_j C_ji
+    omega_j, so omega_k has root coordinates in column k of C^-1.
     """
 
     def __init__(self, entries):
         super().__init__(entries)
+        _check_rank(self.n)
         self.r = _symmetrizers(self)
         self.cz = [
             [{r: 1, -r: 1} if i == j else quantum_integer(c) for j, c in enumerate(row)]
@@ -290,11 +297,11 @@ class InvCartanSeries:
     """Coefficients of C~(z) = C(z)^-1 expanded in descending powers of z.
 
     Entries are quotients adj(C(z))_{a,b} / det C(z), expanded lazily and
-    cached.  Thread safety: a single lock guards cache extension.
+    cached.  Not thread-safe: the package starts no threads, and expanding
+    an entry mutates its cache.
     """
 
     def __init__(self, cartan: SymmetrizedCartan):
-        self._lock = threading.RLock()
         self._quotients = {
             (a + 1, b + 1): _DescendingQuotient(entry, cartan.det)
             for a, row in enumerate(cartan.adj)
@@ -303,8 +310,7 @@ class InvCartanSeries:
 
     def entry_coeff(self, a: int, b: int, r: int) -> int:
         """Coefficient of z^r in the series of C~(z)_{a,b}."""
-        with self._lock:
-            return self._quotients[(a, b)].coeff(r)
+        return self._quotients[(a, b)].coeff(r)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +335,8 @@ def named_cartan(name: str):
     if fam not in tuple("ABCDEFG") or not (digits.isascii() and digits.isdigit()):
         raise ParseError(f"unknown Cartan type {name!r}")
     n = parse_int(digits, f"Cartan type {name[:20]!r}")
+    if fam in "ABCD":  # the only families of unbounded rank
+        _check_rank(n)
     if fam == "A" and n >= 1:
         return _chain(n)
     if fam == "B" and n >= 2:

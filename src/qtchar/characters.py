@@ -268,11 +268,15 @@ def q_char(alg: YtAlgebra, x: RepElement, budget: Budget = DEFAULT_BUDGET) -> di
 
 
 def chi_qt_inverse(alg: YtAlgebra, z: YtElement, budget: Budget = DEFAULT_BUDGET) -> RepElement:
-    """Invert chi_qt by peeling maximal dominant monomials."""
+    """Invert chi_qt by peeling maximal dominant monomials.
+
+    The residual is a private copy of z's terms; each peel subtracts
+    lam E_t(mu) from it in place, so z itself is left unchanged.
+    """
     out = {}
-    z = YtElement(dict(z.terms))
-    while not z.is_zero():
-        doms = [m for m in z.monomials() if m.is_dominant()]
+    rest = dict(z.terms)
+    while rest:
+        doms = [m for m in rest if m.is_dominant()]
         if not doms:
             raise InversionFails("nonzero residual without a dominant monomial")
         maximal = [
@@ -284,9 +288,15 @@ def chi_qt_inverse(alg: YtAlgebra, z: YtElement, budget: Budget = DEFAULT_BUDGET
         sp = e.coeff(mu).single_power()
         if sp is None or sp[1] != 1:
             raise InversionFails(f"leading coefficient of E_t({mu}) is not a t-power")
-        lam = z.coeff(mu) * TPoly.t_power(-sp[0])
+        lam = rest[mu] * TPoly.t_power(-sp[0])
         out[mu] = out.get(mu, ZERO) + lam
-        z = z - e.scale(lam)
+        neg = -lam
+        for m, q in e.terms.items():
+            p = rest.get(m, ZERO) + q * neg
+            if p:
+                rest[m] = p
+            else:
+                del rest[m]
     return RepElement(out)
 
 

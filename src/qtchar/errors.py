@@ -1,5 +1,5 @@
-"""Exception hierarchy for the qtchar library, and the digit limit on
-integers read from text.
+"""Exception hierarchy for the qtchar library, the digit limit on integers
+read from text, and the rank limit on Cartan matrices.
 
 The CLI maps these onto process exit codes; see qtchar.cli.
 """
@@ -16,6 +16,12 @@ class ParseError(QtcharError):
 # Longest digit string read as an integer from text input, well below the
 # 4300 digits past which int() raises ValueError instead of converting.
 MAX_DIGITS = 100
+
+# Largest Cartan rank set up.  The elimination of C(z) grows about as the
+# fifth power of the rank (A40 takes seconds), so a larger rank is refused,
+# as BudgetExceeded, before a named type's matrix is built and before any
+# matrix is eliminated.
+MAX_RANK = 32
 
 
 def parse_int(text: str, what: str) -> int:

@@ -38,6 +38,15 @@ class TPoly:
         return TPoly({e: c})
 
     @staticmethod
+    def adopt(coeffs: dict) -> "TPoly":
+        """A TPoly that takes over coeffs, whose zero entries are deleted in place."""
+        for e in [e for e, c in coeffs.items() if not c]:
+            del coeffs[e]
+        p = object.__new__(TPoly)
+        p.coeffs = coeffs
+        return p
+
+    @staticmethod
     def coerce(x) -> "TPoly":
         if isinstance(x, TPoly):
             return x

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from qtchar import algebra
 from qtchar.algebra import Monomial, YtElement
+from qtchar.characters import e_t, fundamental
 from qtchar.errors import NotSimplyLaced
-from qtchar.tpoly import TPoly
+from qtchar.suites import KERNEL_TYPES
+from qtchar.tpoly import ONE, TPoly
 
 from conftest import random_element
 
@@ -95,6 +97,87 @@ def test_mul_is_associative_and_unital(b2):
         assert b2.mul(b2.mul(x, y), z) == b2.mul(x, b2.mul(y, z))
         assert b2.mul(x, YtElement.unit()) == x
     assert b2.mul() == YtElement.unit()
+
+
+def _mul_by_double_loop(alg, x, y):
+    """Reference product: one bichar_n per pair of terms."""
+    d = {}
+    for m1, p1 in x.items():
+        for m2, p2 in y.items():
+            key = m1.times(m2)
+            d[key] = d.get(key, TPoly.zero()) + p1 * p2 * TPoly.t_power(alg.bichar_n(m1, m2))
+    return YtElement(d)
+
+
+def _grouped_right_factor(alg, rng):
+    """Terms in several twist groups of mul, with exponents of either sign.
+
+    n0 * A^-w comes before n0, which it factors over, so it is the first
+    reference and n0 starts a second group; n0 * A^-w2 joins n0's group;
+    random unrelated terms follow.
+    """
+    nodes = list(alg.cartan.nodes())
+    n0 = Monomial({(rng.choice(nodes), rng.randrange(-4, 5)): rng.choice([-2, -1, 1, 2])
+                   for _ in range(3)})
+    below = n0.times(alg.a_monomial_expand({(nodes[0], 3): 1}))
+    beside = n0.times(alg.a_monomial_expand({(nodes[-1], 1): 1, (nodes[0], -2): 2}))
+    terms = {below: TPoly({1: 2}), n0: ONE, beside: TPoly({-2: -1, 0: 3})}
+    for m, p in random_element(alg, rng).items():
+        terms.setdefault(m, p)
+    return YtElement(terms)
+
+
+def _reversed(x):
+    return YtElement(dict(reversed(list(x.items()))))
+
+
+def test_monomial_times_matches_constructor():
+    rng = random.Random(3)
+    for _ in range(200):
+        d1 = {(rng.randrange(1, 3), rng.randrange(-2, 3)): rng.randrange(-2, 3) for _ in range(3)}
+        d2 = {(rng.randrange(1, 3), rng.randrange(-2, 3)): rng.randrange(-2, 3) for _ in range(3)}
+        want = {k: d1.get(k, 0) + d2.get(k, 0) for k in set(d1) | set(d2)}
+        got = Monomial(d1).times(Monomial(d2))
+        assert got == Monomial(want) and hash(got) == hash(Monomial(want))
+        assert got.data == Monomial(want).data
+
+
+@pytest.mark.parametrize("name", KERNEL_TYPES + ["E6"])
+def test_mul_matches_double_loop(name):
+    alg = algebra(name)
+    rng = random.Random(f"mul:{name}")
+    for _ in range(6):
+        x = random_element(alg, rng)
+        for y in (random_element(alg, rng), _grouped_right_factor(alg, rng)):
+            assert alg.mul(x, y) == _mul_by_double_loop(alg, x, y)
+            assert alg.mul(y, x) == _mul_by_double_loop(alg, y, x)
+        z = _grouped_right_factor(alg, rng)
+        assert alg.mul(x, y, z) == _mul_by_double_loop(alg, _mul_by_double_loop(alg, x, y), z)
+    refs, right = alg._twist_groups(z)
+    assert len(refs) >= 2 and any(psi for _, g, psi, _ in right if g == 1)
+    # e_t products: fundamentals, and the same factors with the terms reversed
+    i, j = alg.cartan.nodes()[0], alg.cartan.nodes()[-1]
+    f_i, f_j = fundamental(alg, i, 0), fundamental(alg, j, 1)
+    for y in (f_j, _reversed(f_j)):
+        assert alg.mul(f_i, y) == _mul_by_double_loop(alg, f_i, y)
+    e = e_t(alg, Monomial({(i, 2): 1, (j, 0): 1}))
+    for y in (e, _reversed(e)):
+        assert alg.mul(x, y) == _mul_by_double_loop(alg, x, y)
+        assert alg.mul(y, x) == _mul_by_double_loop(alg, y, x)
+
+
+def test_twist_groups_try_one_reference_per_term(b2, monkeypatch):
+    """Unrelated terms cost one factor_over_A each, not one per reference."""
+    rng = random.Random(8)
+    y = YtElement.zero()
+    while len(y) < 40:
+        y = y + random_element(b2, rng)
+    calls = []
+    factor = b2.factor_over_A
+    monkeypatch.setattr(b2, "factor_over_A", lambda m, base: calls.append(m) or factor(m, base))
+    refs, right = b2._twist_groups(y)
+    assert len(calls) == len(y) - 1 and len(right) == len(y)
+    assert len(refs) > len(y) // 2
 
 
 @pytest.mark.parametrize("name", TYPES)

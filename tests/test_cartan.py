@@ -6,14 +6,21 @@ from fractions import Fraction
 import pytest
 
 import qtchar
-from qtchar import algebra
+from qtchar import algebra, cartan
 from qtchar.cartan import (
     CartanMatrix,
     cartan_from_json,
     named_cartan,
     validate_cartan,
 )
-from qtchar.errors import NotCartan, NotFiniteType, NotSymmetrizable, ParseError
+from qtchar.errors import (
+    MAX_RANK,
+    BudgetExceeded,
+    NotCartan,
+    NotFiniteType,
+    NotSymmetrizable,
+    ParseError,
+)
 
 DEPTH_TYPES = (
     [f"A{n}" for n in range(1, 7)]
@@ -57,6 +64,22 @@ def test_named_types_shapes():
     for name in ["A\u00b2", "A\u0661", "A\uff13"]:  # superscript, Arabic-Indic, full-width
         with pytest.raises(ParseError):
             named_cartan(name)
+
+
+def test_rank_limit(monkeypatch):
+    """Past MAX_RANK a name is refused before its matrix is built."""
+    assert len(named_cartan(f"A{MAX_RANK}")) == MAX_RANK
+
+    def refuse(n):
+        raise AssertionError(f"a rank-{n} chain was built")
+
+    monkeypatch.setattr(cartan, "_chain", refuse)
+    for name in (f"A{MAX_RANK + 1}", f"B{MAX_RANK + 1}", f"C{MAX_RANK + 1}", f"D{MAX_RANK + 1}",
+                 "A100000"):
+        with pytest.raises(BudgetExceeded):
+            named_cartan(name)
+    with pytest.raises(ParseError):
+        named_cartan(f"E{MAX_RANK + 1}")  # not a type, whatever its rank
 
 
 def test_validation_errors():

@@ -5,7 +5,7 @@ import weakref
 import pytest
 
 from qtchar import algebra
-from qtchar.algebra import Monomial
+from qtchar.algebra import Monomial, YtElement
 from qtchar.characters import (
     Budget,
     RepElement,
@@ -159,6 +159,19 @@ def test_chi_qt_inverse_roundtrip(b2):
             terms[m] = TPoly({rng.randrange(-2, 3): rng.choice([-1, 1, 2])})
         x = RepElement(terms)
         assert chi_qt_inverse(b2, chi_qt(b2, x)) == x
+
+
+def test_chi_qt_inverse_leaves_its_argument_unchanged(b2):
+    """The peel works in place on a private copy of z's terms."""
+    x = RepElement({Monomial({(1, 0): 1, (2, 3): 1}): TPoly({1: 2}), Monomial.y(2, 0): ONE})
+    y = RepElement.from_monomial(Monomial.y(1, 2), TPoly({-1: 1, 0: 1}))
+    z = b2.mul(chi_qt(b2, x), chi_qt(b2, y))
+    before = list(z.terms.items())
+    copy = YtElement(dict(z.terms))
+    assert chi_qt_inverse(b2, z) == star_product(b2, x, y)
+    assert z == copy
+    assert list(z.terms.items()) == before
+    assert all(z.terms[m] is p for m, p in before)
 
 
 def test_star_product_shadow_is_commutative_product(a2):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtchar import cartan
 from qtchar.cli import main
 from qtchar.grammar import parse_element
 
@@ -147,6 +148,28 @@ def test_budget_exceeded_exit_4(capsys):
 def test_seed_past_monomial_budget_exit_4(capsys, argv):
     """Rejected from the exact size bound before any work is done."""
     code, out, err = run(capsys, *argv)
+    assert code == 4 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("budget exceeded")
+
+
+def _refuse(*_args):
+    raise AssertionError("a Cartan matrix past MAX_RANK was built or eliminated")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "A100000",
+        "D33",
+        json.dumps({"matrix": [[2 if i == j else -1 if abs(i - j) == 1 else 0
+                                for j in range(33)] for i in range(33)]}),  # the A33 chain
+    ],
+)
+def test_rank_past_max_rank_exit_4(capsys, monkeypatch, spec):
+    """Refused before _chain allocates and before the elimination runs."""
+    monkeypatch.setattr(cartan, "_chain", _refuse)
+    monkeypatch.setattr(cartan, "_det_and_adjugate", _refuse)
+    code, out, err = run(capsys, "tchar", "--cartan", spec, "Y[1,0]")
     assert code == 4 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("budget exceeded")
 

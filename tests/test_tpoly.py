@@ -18,6 +18,13 @@ def test_basic_arithmetic():
     assert (p * ZERO).is_zero()
 
 
+def test_adopt_takes_over_the_map_without_zeros():
+    coeffs = {0: 1, 2: 0, -1: -3}
+    p = TPoly.adopt(coeffs)
+    assert p == TPoly({0: 1, -1: -3}) and p.coeffs is coeffs and 2 not in coeffs
+    assert TPoly.adopt({1: 0}).is_zero()
+
+
 def test_coerce_and_equality_with_ints():
     assert TPoly.const(3) == 3
     assert TPoly.coerce(2) * TPoly.t_power(1) == TPoly({1: 2})
