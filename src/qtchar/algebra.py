@@ -13,7 +13,7 @@ from operator import itemgetter
 
 from .cartan import InvCartanSeries, SymmetrizedCartan
 from .errors import InternalInconsistency, NotSimplyLaced
-from .tpoly import ONE, TPoly
+from .tpoly import ONE, ZERO, TPoly
 
 _level_node = itemgetter(1, 0)  # order (node, level) keys level-major
 
@@ -134,8 +134,14 @@ class Monomial:
 # ---------------------------------------------------------------------------
 
 
-class YtElement:
-    """Finite map BasisMonomial -> TPoly; an element in the normal-ordered basis."""
+class Terms:
+    """Finite map Monomial -> nonzero TPoly: the free Z[t^±]-module on monomials.
+
+    YtElement and RepElement are both such maps and differ only in their
+    product.  +, -, negation and scale return new elements and never touch
+    their operands; add_scaled adds into self in place, so it is only for an
+    element that its caller created itself.
+    """
 
     __slots__ = ("terms",)
 
@@ -148,6 +154,82 @@ class YtElement:
                     d[m] = p
         self.terms = d
 
+    @classmethod
+    def from_monomial(cls, m: Monomial, coeff=ONE):
+        return cls({m: coeff})
+
+    @classmethod
+    def _adopt(cls, terms: dict):
+        """An element that takes over terms, whose coefficients are nonzero TPolys."""
+        x = object.__new__(cls)
+        x.terms = terms
+        return x
+
+    def items(self):
+        return self.terms.items()
+
+    def monomials(self):
+        return self.terms.keys()
+
+    def coeff(self, m: Monomial) -> TPoly:
+        return self.terms.get(m, ZERO)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __len__(self):
+        return len(self.terms)
+
+    def add_scaled(self, other: "Terms", c=ONE) -> None:
+        """self += c * other, in place; other is left unchanged."""
+        if type(other) is not type(self):
+            raise TypeError(f"cannot add {type(other).__name__} to {type(self).__name__}")
+        c = TPoly.coerce(c)
+        if not c:
+            return
+        d = self.terms
+        for m, q in list(other.terms.items()) if other is self else other.terms.items():
+            if c is not ONE:
+                q = q * c
+            p = d.get(m)
+            if p is not None:
+                q = p + q
+            if q:
+                d[m] = q
+            else:
+                del d[m]
+
+    def __add__(self, other):
+        out = self._adopt(dict(self.terms))
+        out.add_scaled(other)
+        return out
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._adopt({m: -p for m, p in self.terms.items()})
+
+    def scale(self, c):
+        c = TPoly.coerce(c)
+        return self._adopt({m: p * c for m, p in self.terms.items()} if c else {})
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+    def at_one(self) -> dict:
+        """Specialize t -> 1; returns Monomial -> int with zeros dropped."""
+        return {m: v for m, p in self.terms.items() if (v := p.at_one())}
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda mp: mp[0].sortkey())
+
+
+class YtElement(Terms):
+    """An element of the twisted algebra in the normal-ordered basis."""
+
+    __slots__ = ()
+
     @staticmethod
     def zero() -> "YtElement":
         return YtElement()
@@ -156,71 +238,14 @@ class YtElement:
     def unit() -> "YtElement":
         return YtElement({Monomial.unit(): ONE})
 
-    @staticmethod
-    def from_monomial(m: Monomial, coeff=ONE) -> "YtElement":
-        return YtElement({m: coeff})
-
-    def coeff(self, m: Monomial) -> TPoly:
-        return self.terms.get(m, TPoly.zero())
-
-    def items(self):
-        return self.terms.items()
-
-    def monomials(self):
-        return self.terms.keys()
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __len__(self):
-        return len(self.terms)
-
-    def __add__(self, other: "YtElement") -> "YtElement":
-        d = dict(self.terms)
-        for m, p in other.terms.items():
-            d[m] = d.get(m, TPoly.zero()) + p
-        return YtElement(d)
-
-    def __neg__(self) -> "YtElement":
-        return YtElement({m: -p for m, p in self.terms.items()})
-
-    def __sub__(self, other: "YtElement") -> "YtElement":
-        return self + (-other)
-
-    def scale(self, p) -> "YtElement":
-        p = TPoly.coerce(p)
-        return YtElement({m: q * p for m, q in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, YtElement) and self.terms == other.terms
-
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def at_one(self) -> dict:
-        """Specialize t -> 1; returns Monomial -> int with zeros dropped."""
-        out = {}
-        for m, p in self.terms.items():
-            v = p.at_one()
-            if v:
-                out[m] = v
-        return out
-
-    def map_monomials(self, fn) -> "YtElement":
-        d = {}
-        for m, p in self.terms.items():
-            k = fn(m)
-            d[k] = d.get(k, TPoly.zero()) + p
-        return YtElement(d)
-
     def shift(self, dl: int) -> "YtElement":
-        return self.map_monomials(lambda m: m.shift(dl))
+        return YtElement._adopt({m.shift(dl): p for m, p in self.terms.items()})
 
     def dominant_part(self) -> dict:
         return {m: p for m, p in self.terms.items() if m.is_dominant()}
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda mp: mp[0].sortkey())
 
     def __repr__(self):
         if not self.terms:
@@ -470,11 +495,9 @@ class YtAlgebra:
 
     def bar(self, x: YtElement) -> YtElement:
         """t -> t^-1, antimultiplicative; fixes every A_{i,l}^-1."""
-        d = {}
-        for m, p in x.terms.items():
-            q = p.invert_t() * TPoly.t_power(self.bichar_n(m, m))
-            d[m] = d.get(m, TPoly.zero()) + q
-        return YtElement(d)
+        return YtElement._adopt(
+            {m: p.invert_t() * TPoly.t_power(self.bichar_n(m, m)) for m, p in x.terms.items()}
+        )
 
     # -- word bookkeeping ----------------------------------------------
 

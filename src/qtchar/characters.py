@@ -7,7 +7,7 @@ import heapq
 import weakref
 from dataclasses import dataclass
 
-from .algebra import Monomial, YtAlgebra, YtElement
+from .algebra import Monomial, Terms, YtAlgebra, YtElement
 from .errors import (
     AlgorithmFails,
     BudgetExceeded,
@@ -185,47 +185,17 @@ def e_t_normalized(alg: YtAlgebra, m: Monomial, budget: Budget = DEFAULT_BUDGET)
 # ---------------------------------------------------------------------------
 
 
-class RepElement:
+class RepElement(Terms):
     """Z[t^±]-combination of commutative monomials in the classes X_{i,l}."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        d = {}
         if terms:
-            for m, p in terms.items():
+            for m in terms:
                 if any(e < 0 for _, e in m.items()):
                     raise ValueError(f"Rep-monomial {m} has a negative exponent")
-                p = TPoly.coerce(p)
-                if not p.is_zero():
-                    d[m] = p
-        self.terms = d
-
-    @staticmethod
-    def from_monomial(m: Monomial, coeff=ONE) -> "RepElement":
-        return RepElement({m: coeff})
-
-    def items(self):
-        return self.terms.items()
-
-    def coeff(self, m: Monomial) -> TPoly:
-        return self.terms.get(m, ZERO)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        d = dict(self.terms)
-        for m, p in other.terms.items():
-            d[m] = d.get(m, ZERO) + p
-        return RepElement(d)
-
-    def __eq__(self, other):
-        return isinstance(other, RepElement) and self.terms == other.terms
-
-    def scale(self, p) -> "RepElement":
-        p = TPoly.coerce(p)
-        return RepElement({m: q * p for m, q in self.terms.items()})
+        super().__init__(terms)
 
     def mul_commutative(self, other) -> "RepElement":
         """Ordinary commutative product (the t=1 shadow of *)."""
@@ -236,21 +206,13 @@ class RepElement:
                 d[key] = d.get(key, ZERO) + p1 * p2
         return RepElement(d)
 
-    def at_one(self) -> dict:
-        out = {}
-        for m, p in self.terms.items():
-            v = p.at_one()
-            if v:
-                out[m] = v
-        return out
-
     def __repr__(self):
         # imported here so that `import qtchar` does not bind `qtchar.grammar`
         from .grammar import format_rep_monomial
 
         if not self.terms:
             return "RepElement(0)"
-        parts = [f"({p}) {format_rep_monomial(m)}" for m, p in sorted(self.terms.items(), key=lambda kv: kv[0].sortkey())]
+        parts = [f"({p}) {format_rep_monomial(m)}" for m, p in self.sorted_terms()]
         return "RepElement[" + " + ".join(parts) + "]"
 
 
@@ -258,7 +220,7 @@ def chi_qt(alg: YtAlgebra, x: RepElement, budget: Budget = DEFAULT_BUDGET) -> Yt
     """Linear extension of X-monomial -> E_t(matching Y-monomial)."""
     out = YtElement.zero()
     for m, p in x.items():
-        out = out + e_t(alg, m, budget).scale(p)
+        out.add_scaled(e_t(alg, m, budget), p)
     return out
 
 
@@ -270,13 +232,13 @@ def q_char(alg: YtAlgebra, x: RepElement, budget: Budget = DEFAULT_BUDGET) -> di
 def chi_qt_inverse(alg: YtAlgebra, z: YtElement, budget: Budget = DEFAULT_BUDGET) -> RepElement:
     """Invert chi_qt by peeling maximal dominant monomials.
 
-    The residual is a private copy of z's terms; each peel subtracts
-    lam E_t(mu) from it in place, so z itself is left unchanged.
+    The residual is a private copy of z, from which each peel subtracts
+    lam E_t(mu) in place, so z itself is left unchanged.
     """
     out = {}
-    rest = dict(z.terms)
-    while rest:
-        doms = [m for m in rest if m.is_dominant()]
+    rest = YtElement(z.terms)
+    while not rest.is_zero():
+        doms = [m for m in rest.monomials() if m.is_dominant()]
         if not doms:
             raise InversionFails("nonzero residual without a dominant monomial")
         maximal = [
@@ -288,15 +250,9 @@ def chi_qt_inverse(alg: YtAlgebra, z: YtElement, budget: Budget = DEFAULT_BUDGET
         sp = e.coeff(mu).single_power()
         if sp is None or sp[1] != 1:
             raise InversionFails(f"leading coefficient of E_t({mu}) is not a t-power")
-        lam = rest[mu] * TPoly.t_power(-sp[0])
+        lam = rest.coeff(mu) * TPoly.t_power(-sp[0])
         out[mu] = out.get(mu, ZERO) + lam
-        neg = -lam
-        for m, q in e.terms.items():
-            p = rest.get(m, ZERO) + q * neg
-            if p:
-                rest[m] = p
-            else:
-                del rest[m]
+        rest.add_scaled(e, -lam)
     return RepElement(out)
 
 
@@ -347,22 +303,19 @@ def lt_and_kl(alg: YtAlgebra, m: Monomial, budget: Budget = DEFAULT_BUDGET):
     order = sorted(doms, key=lambda mu: (-depth[mu], mu.sortkey()))  # deepest first
     nn = {mu: alg.bichar_n(mu, mu) for mu in doms}
     lhat = {}
-    f_cache = {}
     kl_for = {}
     for mu in order:
         fhat = t_algorithm(alg, mu, budget)
-        f_cache[mu] = fhat
         residual = e_cache[mu] - fhat
         lowers = sorted(
             (nu for nu in doms if nu != mu and depth[nu] > depth[mu] and alg.leq(nu, mu)),
             key=lambda nu: (depth[nu], nu.sortkey()),
         )
         rows = []
-        lsum = fhat
+        lsum = fhat  # a new element from t_algorithm, so it is summed into in place
         for nu in lowers:
             a = residual.coeff(nu)
-            if not a.is_zero():
-                residual = residual - lhat[nu].scale(a)
+            residual.add_scaled(lhat[nu], -a)
             diff = nn[nu] - nn[mu]
             if diff % 2:
                 raise NonIntegralShift(f"odd quadratic-form gap between {nu} and {mu}")
@@ -372,8 +325,7 @@ def lt_and_kl(alg: YtAlgebra, m: Monomial, budget: Budget = DEFAULT_BUDGET):
             beta = const + pos + pos.invert_t()
             p = alpha - beta
             rows.append((nu, c, p))
-            if not beta.is_zero():
-                lsum = lsum + lhat[nu].scale(beta * TPoly.t_power(c))
+            lsum.add_scaled(lhat[nu], beta * TPoly.t_power(c))
         if not residual.is_zero():
             raise InternalInconsistency(
                 f"E_t({mu}) did not close over the canonical basis"

@@ -98,7 +98,7 @@ def parse_element_lines(alg: YtAlgebra, text: str) -> YtElement:
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if line:
-            total = total + parse_monomial(alg, line)
+            total.add_scaled(parse_monomial(alg, line))
     return total
 
 

@@ -26,7 +26,7 @@ class ScreeningVector:
     def add(self, l: int, elem: YtElement):
         if not (-self.ri <= l < self.ri):
             raise ValueError(f"index {l} outside canonical window")
-        self.comps[l] = self.comps[l] + elem
+        self.comps[l].add_scaled(elem)
 
     def component(self, l: int) -> YtElement:
         return self.comps[l]

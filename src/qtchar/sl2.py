@@ -72,24 +72,20 @@ def _counts(m: Monomial) -> dict:
     return counts
 
 
-def _special_position(s1: Segment, s2: Segment) -> bool:
-    """Union is a 2-segment properly containing each of the two."""
-    a, b = s1.level_set(), s2.level_set()
-    u = a | b
-    lo, hi = min(u), max(u)
-    if any((l - lo) % 2 for l in u) or len(u) != (hi - lo) // 2 + 1:
-        return False
-    return u > a and u > b
-
-
 def decompose_segments(m: Monomial):
     """Unique decomposition of a dominant rank-1 monomial into 2-segments.
 
-    Greedy: longest segment from the lowest remaining level; a repair pass
-    merges any special-position pair (union + intersection) until stable.
+    Greedy: from the lowest remaining level, take the segment that runs as
+    far as it goes.  The segments come out ordered by (start, -count): the
+    lowest remaining level never drops, and a later run from the same level
+    is no longer.  They are pairwise in general position.  Two segments are in special position
+    when their union is a 2-segment properly containing each.  Take such a
+    pair with [a, b] chosen before S2: S2 starts at or above a, so it must
+    reach past b, and being a segment together with [a, b] it contains
+    b + 2.  But [a, b] stopped at b because b + 2 was no longer remaining,
+    so no later segment contains it.  Hence no pair needs merging.
     """
-    counts = _counts(m)
-    remaining = dict(counts)
+    remaining = _counts(m)
     segments = []
     while remaining:
         l0 = min(remaining)
@@ -100,25 +96,6 @@ def decompose_segments(m: Monomial):
                 del remaining[l]
             l += 2
         segments.append(Segment(l0, (l - l0) // 2))
-    changed = True
-    while changed:
-        changed = False
-        for a in range(len(segments)):
-            for b in range(a + 1, len(segments)):
-                if _special_position(segments[a], segments[b]):
-                    u = segments[a].level_set() | segments[b].level_set()
-                    inter = segments[a].level_set() & segments[b].level_set()
-                    merged = [Segment(min(u), len(u))]
-                    if inter:
-                        merged.append(Segment(min(inter), len(inter)))
-                    segments = (
-                        [s for k, s in enumerate(segments) if k not in (a, b)] + merged
-                    )
-                    changed = True
-                    break
-            if changed:
-                break
-    segments.sort(key=lambda s: (s.start, -s.count))
     return segments
 
 
@@ -167,7 +144,7 @@ def ft_segment(alg: YtAlgebra, seg: Segment) -> YtElement:
     string = YtElement.unit()
     for j in range(1, seg.count + 1):
         string = alg.mul(string, alg.a_inv_elem(1, seg.top + 3 - 2 * j))
-        bracket = bracket + string.scale(TPoly.t_power(j))
+        bracket.add_scaled(string, TPoly.t_power(j))
     return alg.mul(m_elem, bracket)
 
 
@@ -202,10 +179,9 @@ def ft_sl2(alg: YtAlgebra, m: Monomial) -> YtElement:
     cached = _FT_SL2.get(m)
     if cached is not None:
         return cached
-    e = et_sl2(alg, m)
-    out = e
-    for mu, lam in e.dominant_part().items():
+    out = et_sl2(alg, m)  # a new element, so the lower characters are subtracted in place
+    for mu, lam in out.dominant_part().items():
         if mu != m:
-            out = out - ft_sl2(alg, mu).scale(lam)
+            out.add_scaled(ft_sl2(alg, mu), -lam)
     _FT_SL2[m] = out
     return out

@@ -56,7 +56,7 @@ def random_element(alg: YtAlgebra, rng: random.Random) -> YtElement:
             key = (rng.choice(list(alg.cartan.nodes())), rng.randrange(-4, 5))
             d[key] = d.get(key, 0) + rng.choice([-2, -1, 1, 2])
         coeff = TPoly({rng.randrange(-3, 4): rng.choice([-2, -1, 1, 2])})
-        total = total + YtElement.from_monomial(Monomial(d), coeff)
+        total.add_scaled(YtElement.from_monomial(Monomial(d), coeff))
     return total
 
 

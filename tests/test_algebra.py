@@ -75,7 +75,7 @@ def test_a_monomial_expand_is_product_of_a_inverses(name):
 @pytest.mark.parametrize("name", TYPES)
 def test_factor_over_a_roundtrip(name):
     alg = algebra(name)
-    rng = random.Random(hash(name) & 0xFFFF)
+    rng = random.Random(f"factor:{name}")
     for _ in range(40):
         base = Monomial({(i, rng.randrange(0, 4)): 1 for i in alg.cartan.nodes()})
         v = {}
@@ -97,6 +97,54 @@ def test_mul_is_associative_and_unital(b2):
         assert b2.mul(b2.mul(x, y), z) == b2.mul(x, b2.mul(y, z))
         assert b2.mul(x, YtElement.unit()) == x
     assert b2.mul() == YtElement.unit()
+
+
+def _dict_combination(x, y, c):
+    """x + c*y from the plain term dicts, zero coefficients dropped."""
+    d = dict(x.items())
+    for m, q in y.items():
+        d[m] = d.get(m, TPoly.zero()) + q * c
+    return {m: p for m, p in d.items() if not p.is_zero()}
+
+
+def _snapshot(x):
+    return list(x.terms.items())
+
+
+def _unchanged(x, snap):
+    return list(x.terms.items()) == snap and all(x.terms[m] is p for m, p in snap)
+
+
+@pytest.mark.parametrize("name", TYPES)
+def test_term_arithmetic_matches_dicts(name):
+    """+, -, scale and add_scaled agree with dict arithmetic; only add_scaled writes."""
+    alg = algebra(name)
+    rng = random.Random(f"terms:{name}")
+    for _ in range(40):
+        x, y = random_element(alg, rng), random_element(alg, rng)
+        if rng.random() < 0.3:  # make terms cancel
+            y = y - x.scale(rng.choice([-1, 1]))
+        c = TPoly({rng.randrange(-2, 3): rng.choice([-2, -1, 1, 3])})
+        sx, sy = _snapshot(x), _snapshot(y)
+        assert (x + y).terms == _dict_combination(x, y, ONE)
+        assert (x - y).terms == _dict_combination(x, y, -ONE)
+        assert (-x).terms == _dict_combination(YtElement(), x, -ONE)
+        assert x.scale(c).terms == _dict_combination(YtElement(), x, c)
+        assert x.scale(0).is_zero()
+        assert (x - x).is_zero()
+        assert _unchanged(x, sx) and _unchanged(y, sy)
+        z = YtElement(x.terms)
+        z.add_scaled(y, c)
+        assert z.terms == _dict_combination(x, y, c)
+        assert _unchanged(x, sx) and _unchanged(y, sy)
+        z.add_scaled(z, -ONE)
+        assert z.is_zero()
+
+
+def test_term_arithmetic_returns_new_elements(b2):
+    x = random_element(b2, random.Random(1))
+    for result in (x + YtElement(), x - YtElement(), x.scale(1), -(-x)):
+        assert result == x and result is not x and result.terms is not x.terms
 
 
 def _mul_by_double_loop(alg, x, y):

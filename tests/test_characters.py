@@ -7,6 +7,7 @@ import pytest
 from qtchar import algebra
 from qtchar.algebra import Monomial, YtElement
 from qtchar.characters import (
+    _FUNDAMENTALS,
     Budget,
     RepElement,
     character_tree,
@@ -22,6 +23,7 @@ from qtchar.characters import (
     t_algorithm,
 )
 from qtchar.errors import BudgetExceeded, InternalInconsistency, NotDominant
+from qtchar.sl2 import _FT_SL2, et_sl2, ft_sl2, sl2_algebra
 from qtchar.tpoly import ONE, TPoly
 
 
@@ -172,6 +174,81 @@ def test_chi_qt_inverse_leaves_its_argument_unchanged(b2):
     assert z == copy
     assert list(z.terms.items()) == before
     assert all(z.terms[m] is p for m, p in before)
+
+
+def _random_rep_element(rng):
+    terms = {}
+    for _ in range(rng.randrange(1, 4)):
+        m = Monomial({(rng.randrange(1, 3), rng.randrange(0, 4)): rng.randrange(1, 3)
+                      for _ in range(rng.randrange(0, 3))})
+        terms[m] = TPoly({rng.randrange(-2, 3): rng.choice([-2, -1, 1, 2])})
+    return RepElement(terms)
+
+
+def test_rep_element_arithmetic_matches_dicts():
+    rng = random.Random(23)
+    for _ in range(40):
+        x, y = _random_rep_element(rng), _random_rep_element(rng)
+        c = TPoly({rng.randrange(-2, 3): rng.choice([-1, 2])})
+        sx, sy = list(x.items()), list(y.items())
+        for got, cy in ((x + y, ONE), (x - y, -ONE)):
+            want = dict(sx)
+            for m, q in sy:
+                want[m] = want.get(m, TPoly.zero()) + q * cy
+            assert type(got) is RepElement
+            assert got.terms == {m: p for m, p in want.items() if not p.is_zero()}
+        assert x.scale(c).terms == {m: p * c for m, p in sx}
+        z = RepElement(x.terms)
+        z.add_scaled(y, c)
+        assert z == x + y.scale(c)
+        assert list(x.items()) == sx and list(y.items()) == sy
+
+
+def test_rep_element_is_not_a_yt_element():
+    m = Monomial({(1, 0): 1, (2, 1): 2})
+    x, y = RepElement.from_monomial(m, TPoly({1: 3})), YtElement.from_monomial(m, TPoly({1: 3}))
+    assert x.terms == y.terms
+    assert x != y and y != x
+    with pytest.raises(TypeError):
+        hash(x)
+    with pytest.raises(TypeError):
+        x.add_scaled(y)
+    with pytest.raises(TypeError):
+        y + x
+    with pytest.raises(ValueError):
+        RepElement({Monomial({(1, 0): -1}): ONE})
+
+
+def _terms_of(cache):
+    return {key: list(x.terms.items()) for key, x in cache.items()}
+
+
+def test_products_leave_cached_characters_unchanged():
+    """chi_qt, star_product, lt_and_kl and ft_sl2 only read the cached characters."""
+    alg = algebra("B2")
+    s2 = sl2_algebra()
+    for i in alg.cartan.nodes():
+        fundamental(alg, i)
+    # rank-1 characters not cached yet whose lower dominant monomials are cached
+    tops = [Monomial({(1, 1001): 2, (1, 1003): 1}),
+            Monomial({(1, 1001): 1, (1, 1003): 2, (1, 1005): 1})]
+    for top in tops:
+        assert top not in _FT_SL2
+        for mu in et_sl2(s2, top).dominant_part():
+            if mu != top:
+                ft_sl2(s2, mu)
+    fundamentals = _FUNDAMENTALS[alg]
+    before = _terms_of(fundamentals), _terms_of(_FT_SL2)
+    x = RepElement({Monomial({(1, 0): 1, (2, 3): 1}): TPoly({1: 2}), Monomial.y(2, 0): ONE})
+    y = RepElement.from_monomial(Monomial.y(1, 2), TPoly({-1: 1, 0: 1}))
+    chi_qt(alg, x)
+    star_product(alg, x, y)
+    lt_and_kl(alg, Monomial({(2, 0): 1, (1, 5): 1}))
+    for top in tops:
+        assert ft_sl2(s2, top).dominant_part() == {top: ONE}
+    after = _terms_of(fundamentals), _terms_of(_FT_SL2)
+    assert after[0] == before[0]
+    assert {key: after[1][key] for key in before[1]} == before[1]
 
 
 def test_star_product_shadow_is_commutative_product(a2):

@@ -1,7 +1,9 @@
-"""Every top-level import of a module is referenced in that module.
+"""Every top-level import of a module is referenced in that module, and
+every module-level private function or class of qtchar is referenced
+somewhere in qtchar outside its own definition.
 
-qtchar/__init__.py is left out: it imports names only to re-export them.
-Elsewhere `from m import x as x` marks a deliberate re-export.
+qtchar/__init__.py is left out of the import check: it imports names only to
+re-export them.  Elsewhere `from m import x as x` marks a deliberate re-export.
 """
 
 import ast
@@ -10,7 +12,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = [p for p in sorted((ROOT / "src" / "qtchar").glob("*.py")) if p.name != "__init__.py"]
+PACKAGE = sorted((ROOT / "src" / "qtchar").glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 MODULES += sorted((ROOT / "tests").glob("*.py"))
 
 
@@ -34,3 +37,41 @@ def test_guard_sees_unused_and_reexported_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_private_defs(sources: dict):
+    """Module-level _name functions and classes that nothing outside their own body names."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    orphans = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            if not any(
+                id(n) not in own and name in (
+                    getattr(n, "id", None), getattr(n, "attr", None), getattr(n, "name", None)
+                )
+                for other in trees.values()
+                for n in ast.walk(other)
+                if isinstance(n, (ast.Name, ast.Attribute, ast.alias))
+            ):
+                orphans.append(f"{module}:{name}")
+    return orphans
+
+
+def test_guard_sees_orphaned_private_helpers():
+    sources = {
+        "a": "def _used():\n    pass\n\ndef _self_only():\n    return _self_only()\n"
+             "class _Imported:\n    pass\n\ndef __dunder__():\n    pass\n_used()\n",
+        "b": "from a import _Imported\nimport a\na._used\n",
+    }
+    assert unreferenced_private_defs(sources) == ["a:_self_only"]
+
+
+def test_no_orphaned_private_helpers():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert unreferenced_private_defs(sources) == []

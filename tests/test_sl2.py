@@ -1,4 +1,5 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -42,6 +43,27 @@ def test_decompose_simple():
 def test_decompose_merges_special_position():
     # {0,2} and {2,4} sit in special position: union {0,2,4}, meet {2}
     assert decompose_segments(mono(0, 2, 2, 4)) == [Segment(0, 3), Segment(2, 1)]
+
+
+def _special_pair(s1, s2):
+    """The union of the two segments is a 2-segment properly containing each."""
+    a, b = set(s1.levels()), set(s2.levels())
+    u = a | b
+    lo, hi = min(u), max(u)
+    return u == set(range(lo, hi + 1, 2)) and u > a and u > b
+
+
+def test_decompose_is_in_general_position_and_covers_every_level():
+    """Every monomial of degree <= 5 on levels 0..10: the greedy needs no repair."""
+    for degree in range(6):
+        for levels in combinations_with_replacement(range(11), degree):
+            segments = decompose_segments(mono(*levels))
+            covered = sorted(l for seg in segments for l in seg.levels())
+            assert covered == list(levels)
+            assert segments == sorted(segments, key=lambda s: (s.start, -s.count))
+            for k, s1 in enumerate(segments):
+                for s2 in segments[k + 1:]:
+                    assert not _special_pair(s1, s2), (levels, s1, s2)
 
 
 def test_decompose_rejects_negative_exponent(sl2):
