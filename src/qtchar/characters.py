@@ -16,7 +16,8 @@ from .errors import (
     NonIntegralShift,
     NotDominant,
 )
-from .screening import f_it
+from .screening import f_it as f_it  # re-exported: bench/tracer.py wraps characters.f_it
+from .screening import lift_it
 from .sl2 import _normalize_leading
 from .tpoly import ONE, TPoly, ZERO
 
@@ -61,14 +62,17 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
     """Frontier computation of the deformed character with highest monomial m_plus.
 
     Monomials are processed in (A-depth, lexicographic) order, which extends
-    the partial order.  Each processed node-i-dominant monomial with nonzero
-    leftover coefficient contributes its f_it expansion to the accumulators;
-    f_it lifts rank-1 characters with the local A-twist, and a node where the
-    monomial has no Y_i factor is skipped, f_it being the monomial alone.
-    A non-dominant monomial must receive the same value from every node that
-    sees a negative exponent, and disagreement aborts loudly.  A monomial
-    first met in the expansion of m gets the A-depth of m plus its depth
-    below m; past the bound of depth_bound the run aborts as inconsistent.
+    the partial order.  Each processed node-i-dominant monomial m with
+    nonzero leftover coefficient adds its lift to the accumulators: the
+    (W, coefficient) pairs of lift_it, the terms m A^-W of f_it, each put in
+    Y-form from the exponents of m and W alone.  The term W = {} is m itself,
+    whose coefficient must be 1, and is skipped; a node where m has no Y_i
+    factor is skipped too, the lift being m alone.  A non-dominant monomial
+    must receive the same value from every node that sees a negative
+    exponent, and disagreement aborts loudly.  A monomial first met in the
+    lift of m gets the A-depth of m plus sum W; past the bound of
+    depth_bound the run aborts as inconsistent.  With record_blocks, each
+    lift is also returned in Y-form as (i, m, f_it(m)).
     """
     if not m_plus.is_dominant():
         raise NotDominant(f"seed {m_plus} is not dominant")
@@ -99,19 +103,25 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
                     )
             sm = vals[0]
         s[m] = sm
+        y = dict(m.data)
         for i in nodes:
-            # with no Y_i factor, f_it(alg, i, m) is m alone and adds nothing
+            # with no Y_i factor, the lift of m at node i is m alone and adds nothing
             if i in neg or i not in pos:
                 continue
             mu_i = sm - si[i]
             if mu_i.is_zero():
                 continue
-            f = f_it(alg, i, m)
+            lift = lift_it(alg, i, m)
             if record_blocks:
-                blocks.append((i, m, f))
-            for mr, coeff in f.items():
-                if mr == m:
+                blocks.append((i, m, YtElement({alg.yv_exponents(y, w): p for w, p in lift})))
+            for w, coeff in lift:
+                if not w:
+                    if coeff != ONE:
+                        raise InternalInconsistency(
+                            f"lift of {m} at node {i} has leading coefficient {coeff}"
+                        )
                     continue
+                mr = alg.yv_exponents(y, w)
                 acc[i][mr] = acc[i].get(mr, ZERO) + mu_i * coeff
                 if mr not in seen:
                     seen.add(mr)
@@ -119,12 +129,7 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
                         raise BudgetExceeded(
                             f"more than {budget.max_monomials} monomials discovered"
                         )
-                    step = alg.a_depth(mr, m)
-                    if step is None:
-                        raise InternalInconsistency(
-                            f"discovered monomial {mr} does not factor over {m}"
-                        )
-                    depth = depth_m + step
+                    depth = depth_m + sum(w.values())
                     if depth > bound:
                         raise InternalInconsistency(
                             f"A-depth {depth} of {mr} exceeds the bound {bound}"

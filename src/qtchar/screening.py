@@ -113,44 +113,50 @@ def e_it(alg: YtAlgebra, i: int, m: Monomial) -> YtElement:
 
 
 def _residue_shadows(alg: YtAlgebra, i: int, m: Monomial):
-    """Split the node-i exponents of m into rank-1 monomials per residue class."""
+    """Split the node-i exponents of m into rank-1 shadows per residue class.
+
+    Class k = l mod r_i maps to its shadow as a tuple of (level, exponent),
+    Y_{i,l} having level (l - k) / r_i; the tuple is level-sorted, as m is.
+    """
     ri = alg.cartan.ri(i)
     shadows = {}
-    for (j, l), u in m.items():
+    for (j, l), u in m.data:
         if j == i:
             k = l % ri
-            shadows.setdefault(k, {})[(1, (l - k) // ri)] = u
-    return {k: Monomial(d) for k, d in shadows.items()}
+            shadows.setdefault(k, []).append(((l - k) // ri, u))
+    return {k: tuple(s) for k, s in shadows.items()}
 
 
-# dominant rank-1 shadow mk -> ft_sl2(mk) in A-string form: one (v, lam) per
-# term lam * mu of ft_sl2(mk), where mu = mk * prod A_{1,level}^-exponent over
-# v, a tuple of (level, exponent); a value depends only on mk
+# (i, r_i, class k, rank-1 shadow) -> ft_sl2(mk) in A-string form, mk the
+# shadow as a rank-1 monomial: one (W, lam) per term lam * mu of ft_sl2(mk),
+# where mu = mk * prod A_{1,level}^-exponent and W is that string relabelled
+# to node i, {(i, k + level * r_i): exponent}; a value depends only on its key
 _STRINGS = {}
 
 
-def _a_strings(mk: Monomial):
-    strings = _STRINGS.get(mk)
+def _a_strings(i: int, ri: int, k: int, shadow: tuple):
+    key = (i, ri, k, shadow)
+    strings = _STRINGS.get(key)
     if strings is None:
         s2 = sl2_algebra()
+        mk = Monomial({(1, lv): e for lv, e in shadow})
         strings = []
         for mu, lam in ft_sl2(s2, mk).items():
             v = s2.factor_over_A(mu, mk)
             if v is None:
                 raise NotIDominant(f"rank-1 character term {mu} does not factor over {mk}")
-            strings.append((tuple((lv, e) for (_, lv), e in v.items()), lam))
-        _STRINGS[mk] = strings
+            strings.append(({(i, k + lv * ri): e for (_, lv), e in v.items()}, lam))
+        _STRINGS[key] = strings
     return strings
 
 
-def f_it(alg: YtAlgebra, i: int, m: Monomial) -> YtElement:
-    """Kernel element with m as its unique i-dominant monomial.
+def lift_it(alg: YtAlgebra, i: int, m: Monomial) -> list:
+    """The terms of f_it(m) in A-string form: (W, coefficient) per term m A^-W.
 
-    Lifts the rank-1 character of each residue shadow mk of m (its node-i
-    exponents on the levels k mod r_i): f_it is the twisted product
-    m * prod_k sum lam t^-N(mk, A^-v) A^-W, summed over the terms
-    lam * mk A^-v of ft_sl2(mk), with W the string v relabelled back to
-    node i.  The twist is local in the A variables: C(z) C~(z) = I gives
+    m must be i-dominant.  The lift is the product over the residue shadows
+    mk of m (its node-i exponents on the levels k mod r_i) of the rank-1
+    characters ft_sl2(mk), each term lam * mk A^-v relabelled back to node i
+    as A^-W.  The twist is local in the A variables: C(z) C~(z) = I gives
     N(Y_{j,k}, A_{i,l}^-1) = +1 at (j, k) = (i, l + r_i), -1 at
     (i, l - r_i) and 0 otherwise.  Hence N(A_{i,k}^-1, A_{i,l}^-1) is
     nonzero only at |k - l| = 2 r_i, so the factors of different classes
@@ -158,18 +164,25 @@ def f_it(alg: YtAlgebra, i: int, m: Monomial) -> YtElement:
     sum_l W_l (u_i(l + r_i) - u_i(l - r_i)) of each term equals the
     rank-1 N(mk, A^-v) and cancels.  Each term m A^-W therefore has
     coefficient prod lam, with no twisted product or bicharacter lookup.
+    The term W = {} is m itself.  The pairs may be shared with the string
+    table and are read-only.
     """
-    _check_i_dominant(alg, i, m)
     ri = alg.cartan.ri(i)
-    classes = [
-        [({(i, k + lv * ri): e for lv, e in v}, lam) for v, lam in _a_strings(mk)]
-        for k, mk in _residue_shadows(alg, i, m).items()
-    ]
-    terms = classes[0] if classes else [({}, ONE)]  # (W, coefficient)
+    classes = [_a_strings(i, ri, k, shadow) for k, shadow in _residue_shadows(alg, i, m).items()]
+    terms = classes[0] if classes else [({}, ONE)]
     for strings in classes[1:]:
         terms = [({**w, **wk}, p * lam) for w, p in terms for wk, lam in strings]
-    y = dict(m.items())
-    result = YtElement({alg.yv_exponents(y, w): p for w, p in terms})
+    return terms
+
+
+def f_it(alg: YtAlgebra, i: int, m: Monomial) -> YtElement:
+    """Kernel element with m as its unique i-dominant monomial.
+
+    The terms of lift_it in Y-form: m A^-W for each (W, coefficient).
+    """
+    _check_i_dominant(alg, i, m)
+    y = dict(m.data)
+    result = YtElement({alg.yv_exponents(y, w): p for w, p in lift_it(alg, i, m)})
     if result.coeff(m) != ONE:
         raise AssertionError(f"f_it leading coefficient on {m} is {result.coeff(m)}")
     return result

@@ -1,10 +1,11 @@
 import gc
+import heapq
 import random
 import weakref
 
 import pytest
 
-from qtchar import algebra
+from qtchar import algebra, characters, screening
 from qtchar.algebra import Monomial, YtElement
 from qtchar.characters import (
     _FUNDAMENTALS,
@@ -24,7 +25,8 @@ from qtchar.characters import (
 )
 from qtchar.errors import BudgetExceeded, InternalInconsistency, NotDominant
 from qtchar.sl2 import _FT_SL2, et_sl2, ft_sl2, sl2_algebra
-from qtchar.tpoly import ONE, TPoly
+from qtchar.suites import KERNEL_TYPES
+from qtchar.tpoly import ONE, ZERO, TPoly
 
 
 def test_budget_validation():
@@ -85,6 +87,16 @@ def test_a_depth_is_additive_along_blocks(name, node):
             assert alg.a_depth(mr, seed) == depth[m] + alg.a_depth(mr, m), (m, mr)
 
 
+def test_lift_with_wrong_leading_coefficient_is_inconsistent(monkeypatch):
+    """The term W = {} of every lift is m itself with coefficient 1."""
+    def lift_it(alg, i, m):
+        return [(w, p if w else TPoly.t_power(1)) for w, p in screening.lift_it(alg, i, m)]
+
+    monkeypatch.setattr(characters, "lift_it", lift_it)
+    with pytest.raises(InternalInconsistency):
+        t_algorithm(algebra("A2"), Monomial.y(1, 0))
+
+
 A1_A2 = [[2, 0, 0], [0, 2, -1], [0, -1, 2]]
 
 
@@ -101,6 +113,52 @@ def test_exact_depth_bound_is_reached(name, node, bound):
     result = t_algorithm(alg, seed)
     assert alg.depth_bound(seed) == bound
     assert max(alg.a_depth(m, seed) for m in result.monomials()) == bound
+
+
+def _reference_t_algorithm(alg, m_plus):
+    """The frontier loop written with the public f_it and a_depth."""
+    nodes = list(alg.cartan.nodes())
+    acc = {i: {} for i in nodes}
+    s = {}
+    heap = [(0, m_plus.sortkey(), m_plus)]
+    seen = {m_plus}
+    while heap:
+        depth_m, _, m = heapq.heappop(heap)
+        si = {i: acc[i].pop(m, ZERO) for i in nodes}
+        neg = [i for i in nodes if any(e < 0 for (j, _), e in m.items() if j == i)]
+        if m == m_plus:
+            sm = ONE
+        elif not neg:
+            sm = ZERO
+        else:
+            assert all(si[i] == si[neg[0]] for i in neg), m
+            sm = si[neg[0]]
+        s[m] = sm
+        for i in nodes:
+            mu_i = sm - si[i]
+            if i in neg or mu_i.is_zero():
+                continue
+            for mr, coeff in screening.f_it(alg, i, m).items():
+                if mr == m:
+                    continue
+                acc[i][mr] = acc[i].get(mr, ZERO) + mu_i * coeff
+                if mr not in seen:
+                    seen.add(mr)
+                    depth = depth_m + alg.a_depth(mr, m)
+                    heapq.heappush(heap, (depth, mr.sortkey(), mr))
+    return YtElement(s)
+
+
+@pytest.mark.parametrize(
+    "name,node",
+    [(name, i) for name in KERNEL_TYPES for i in algebra(name).cartan.nodes()] + [("E6", 4)],
+)
+def test_t_algorithm_matches_reference_loop(name, node):
+    """Term for term, in the same order, as the loop over f_it and a_depth."""
+    alg = algebra(name)
+    seed = Monomial.y(node, 0)
+    got = list(t_algorithm(alg, seed).items())
+    assert got == list(_reference_t_algorithm(alg, seed).items())
 
 
 def test_fundamental_shift(b2):

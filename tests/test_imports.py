@@ -1,12 +1,15 @@
-"""Every top-level import of a module is referenced in that module, and
+"""Every top-level import of a module is referenced in that module,
 every module-level private function or class of qtchar is referenced
-somewhere in qtchar outside its own definition.
+somewhere in qtchar outside its own definition, and every qtchar name that
+the bench's layer trace looks up exists.
 
 qtchar/__init__.py is left out of the import check: it imports names only to
 re-export them.  Elsewhere `from m import x as x` marks a deliberate re-export.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -75,3 +78,26 @@ def test_guard_sees_orphaned_private_helpers():
 def test_no_orphaned_private_helpers():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert unreferenced_private_defs(sources) == []
+
+
+def _bench_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+RESOLVED_BY_TRACER = [(module, attr) for module, attr, _ in _bench_tracer().SPANS] + [
+    ("qtchar.algebra", "YtAlgebra.a_depth"),
+    ("qtchar.cartan", "InvCartanSeries.entry_coeff"),
+]
+
+
+@pytest.mark.parametrize("module,attr", RESOLVED_BY_TRACER, ids=lambda x: x)
+def test_bench_tracer_names_resolve(module, attr):
+    """Every name that bench/tracer.py wraps exists, so `--trace 1` cannot
+    fail with AttributeError."""
+    owner = importlib.import_module(module)
+    for part in attr.split("."):
+        owner = getattr(owner, part)
+    assert callable(owner)
