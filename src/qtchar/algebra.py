@@ -47,6 +47,18 @@ class Monomial:
     def unit() -> "Monomial":
         return Monomial()
 
+    @staticmethod
+    def from_sorted(items: tuple) -> "Monomial":
+        """The monomial whose data is items, already sorted and zero-free.
+
+        The tuple is kept as it is, so a caller that also holds it as a key
+        shares it with the monomial.
+        """
+        m = object.__new__(Monomial)
+        m.data = items
+        m._hash = hash(items)
+        return m
+
     def u(self, i: int, l: int) -> int:
         return dict(self.data).get((i, l), 0)
 
@@ -61,11 +73,7 @@ class Monomial:
         d = dict(self.data)
         for k, e in other.data:
             d[k] = d.get(k, 0) + e
-        # sorted and zero-free already, so the validating constructor is skipped
-        m = object.__new__(Monomial)
-        m.data = items = tuple(sorted([kv for kv in d.items() if kv[1]]))
-        m._hash = hash(items)
-        return m
+        return Monomial.from_sorted(tuple(sorted([kv for kv in d.items() if kv[1]])))
 
     def power(self, n: int) -> "Monomial":
         return Monomial({k: n * e for k, e in self.data})

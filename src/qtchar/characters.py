@@ -16,8 +16,7 @@ from .errors import (
     NonIntegralShift,
     NotDominant,
 )
-from .screening import f_it as f_it  # re-exported: bench/tracer.py wraps characters.f_it
-from .screening import lift_it
+from .screening import f_it, lift_it
 from .sl2 import _normalize_leading
 from .tpoly import ONE, TPoly, ZERO
 
@@ -113,7 +112,7 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
                 continue
             lift = lift_it(alg, i, m)
             if record_blocks:
-                blocks.append((i, m, YtElement({alg.yv_exponents(y, w): p for w, p in lift})))
+                blocks.append((i, m, f_it(alg, i, m)))
             for w, coeff in lift:
                 if not w:
                     if coeff != ONE:

@@ -115,38 +115,40 @@ def e_it(alg: YtAlgebra, i: int, m: Monomial) -> YtElement:
 def _residue_shadows(alg: YtAlgebra, i: int, m: Monomial):
     """Split the node-i exponents of m into rank-1 shadows per residue class.
 
-    Class k = l mod r_i maps to its shadow as a tuple of (level, exponent),
-    Y_{i,l} having level (l - k) / r_i; the tuple is level-sorted, as m is.
+    Class k = l mod r_i maps to its shadow, the data of a rank-1 monomial:
+    ((1, level), exponent) per Y_{i,l}, at level (l - k) / r_i, level-sorted
+    as m is.
     """
     ri = alg.cartan.ri(i)
     shadows = {}
     for (j, l), u in m.data:
         if j == i:
             k = l % ri
-            shadows.setdefault(k, []).append(((l - k) // ri, u))
+            shadows.setdefault(k, []).append(((1, (l - k) // ri), u))
     return {k: tuple(s) for k, s in shadows.items()}
 
 
-# (i, r_i, class k, rank-1 shadow) -> ft_sl2(mk) in A-string form, mk the
-# shadow as a rank-1 monomial: one (W, lam) per term lam * mu of ft_sl2(mk),
-# where mu = mk * prod A_{1,level}^-exponent and W is that string relabelled
-# to node i, {(i, k + level * r_i): exponent}; a value depends only on its key
+# rank-1 shadow -> ft_sl2(mk) in A-string form, mk the monomial with the
+# shadow as its data: one (v, lam) per term lam * mu of ft_sl2(mk), where
+# mu = mk * prod A_{1,level}^-exponent over v, a tuple of (level, exponent).
+# A value depends only on its key, so every node and residue class whose
+# shadow is the same shares one entry, and the key tuple is shared with mk,
+# which the rank-1 character cache keeps.
 _STRINGS = {}
 
 
-def _a_strings(i: int, ri: int, k: int, shadow: tuple):
-    key = (i, ri, k, shadow)
-    strings = _STRINGS.get(key)
+def _a_strings(shadow: tuple):
+    strings = _STRINGS.get(shadow)
     if strings is None:
         s2 = sl2_algebra()
-        mk = Monomial({(1, lv): e for lv, e in shadow})
+        mk = Monomial.from_sorted(shadow)
         strings = []
         for mu, lam in ft_sl2(s2, mk).items():
             v = s2.factor_over_A(mu, mk)
             if v is None:
                 raise NotIDominant(f"rank-1 character term {mu} does not factor over {mk}")
-            strings.append(({(i, k + lv * ri): e for (_, lv), e in v.items()}, lam))
-        _STRINGS[key] = strings
+            strings.append((tuple((lv, e) for (_, lv), e in v.items()), lam))
+        _STRINGS[shadow] = strings
     return strings
 
 
@@ -156,19 +158,21 @@ def lift_it(alg: YtAlgebra, i: int, m: Monomial) -> list:
     m must be i-dominant.  The lift is the product over the residue shadows
     mk of m (its node-i exponents on the levels k mod r_i) of the rank-1
     characters ft_sl2(mk), each term lam * mk A^-v relabelled back to node i
-    as A^-W.  The twist is local in the A variables: C(z) C~(z) = I gives
-    N(Y_{j,k}, A_{i,l}^-1) = +1 at (j, k) = (i, l + r_i), -1 at
-    (i, l - r_i) and 0 otherwise.  Hence N(A_{i,k}^-1, A_{i,l}^-1) is
-    nonzero only at |k - l| = 2 r_i, so the factors of different classes
-    multiply untwisted, and the twist N(m, A^-W) =
-    sum_l W_l (u_i(l + r_i) - u_i(l - r_i)) of each term equals the
-    rank-1 N(mk, A^-v) and cancels.  Each term m A^-W therefore has
+    as A^-W, W = {(i, k + level * r_i): exponent} over v.  The twist is
+    local in the A variables: C(z) C~(z) = I gives N(Y_{j,k}, A_{i,l}^-1) =
+    +1 at (j, k) = (i, l + r_i), -1 at (i, l - r_i) and 0 otherwise.  Hence
+    N(A_{i,k}^-1, A_{i,l}^-1) is nonzero only at |k - l| = 2 r_i, so the
+    factors of different classes multiply untwisted, and the twist
+    N(m, A^-W) = sum_l W_l (u_i(l + r_i) - u_i(l - r_i)) of each term equals
+    the rank-1 N(mk, A^-v) and cancels.  Each term m A^-W therefore has
     coefficient prod lam, with no twisted product or bicharacter lookup.
-    The term W = {} is m itself.  The pairs may be shared with the string
-    table and are read-only.
+    The term W = {} is m itself.
     """
     ri = alg.cartan.ri(i)
-    classes = [_a_strings(i, ri, k, shadow) for k, shadow in _residue_shadows(alg, i, m).items()]
+    classes = [
+        [({(i, k + lv * ri): e for lv, e in v}, lam) for v, lam in _a_strings(shadow)]
+        for k, shadow in _residue_shadows(alg, i, m).items()
+    ]
     terms = classes[0] if classes else [({}, ONE)]
     for strings in classes[1:]:
         terms = [({**w, **wk}, p * lam) for w, p in terms for wk, lam in strings]
