@@ -42,14 +42,12 @@ from .errors import (
     ParseError,
     QtcharError,
 )
-from .screening import ScreeningVector, e_it, f_it, in_kernel, in_kernel_all, s_it
+from .screening import ScreeningVector, e_it, f_it, ft_sl2, in_kernel, in_kernel_all, s_it
 from .sl2 import (
     Segment,
     classic_L,
     decompose_segments,
-    et_sl2,
     ft_segment,
-    ft_sl2,
     is_irregular,
     sl2_algebra,
 )

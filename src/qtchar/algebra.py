@@ -246,9 +246,6 @@ class YtElement(Terms):
     def unit() -> "YtElement":
         return YtElement({Monomial.unit(): ONE})
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def shift(self, dl: int) -> "YtElement":
         return YtElement._adopt({m.shift(dl): p for m, p in self.terms.items()})
 

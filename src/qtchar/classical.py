@@ -72,9 +72,14 @@ def sl2_classical_e(m: Monomial) -> dict:
     return total
 
 
-def sl2_classical_f(m: Monomial, _cache={}) -> dict:
+# dominant rank-1 monomial -> sl2_classical_f of it; the oracle's own table,
+# shared with nothing in the t-algorithm
+_SL2_F = {}
+
+
+def sl2_classical_f(m: Monomial) -> dict:
     """Classical rank-1 character with m as unique dominant monomial."""
-    hit = _cache.get(m)
+    hit = _SL2_F.get(m)
     if hit is not None:
         return hit
     e = sl2_classical_e(m)
@@ -82,7 +87,7 @@ def sl2_classical_f(m: Monomial, _cache={}) -> dict:
     for mu, lam in e.items():
         if mu != m and mu.is_dominant():
             out = cc_add(out, sl2_classical_f(mu), -lam)
-    _cache[m] = out
+    _SL2_F[m] = out
     return out
 
 

@@ -14,7 +14,7 @@ import sys
 
 from .algebra import Monomial, YtAlgebra, YtElement
 from .cartan import cartan_from_json
-from .characters import Budget, character_tree, lt_and_kl, star_product, t_algorithm
+from .characters import Budget, RepElement, character_tree, lt_and_kl, star_product, t_algorithm
 from .errors import BudgetExceeded, DomainError, ParseError, QtcharError, parse_int
 from .grammar import (
     format_basis_monomial,
@@ -141,8 +141,6 @@ def cmd_kl(args) -> int:
 def cmd_product(args) -> int:
     alg = _load_algebra(args.cartan)
     budget = _budget(args)
-    from .characters import RepElement
-
     x = RepElement.from_monomial(_within_rank(alg, parse_rep_monomial(args.left)))
     y = RepElement.from_monomial(_within_rank(alg, parse_rep_monomial(args.right)))
     z = star_product(alg, x, y, budget)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .algebra import Monomial, YtAlgebra, YtElement
 from .errors import NotIDominant
-from .sl2 import ft_sl2, sl2_algebra
+from .sl2 import _normalize_leading, sl2_algebra
 from .tpoly import ONE, TPoly
 
 
@@ -115,9 +115,8 @@ def e_it(alg: YtAlgebra, i: int, m: Monomial) -> YtElement:
 def _residue_shadows(alg: YtAlgebra, i: int, m: Monomial):
     """Split the node-i exponents of m into rank-1 shadows per residue class.
 
-    Class k = l mod r_i maps to its shadow, the data of a rank-1 monomial:
-    ((1, level), exponent) per Y_{i,l}, at level (l - k) / r_i, level-sorted
-    as m is.
+    Class k = l mod r_i maps to its shadow, the rank-1 monomial with
+    Y_{1,level} ^ exponent per Y_{i,l}, at level (l - k) / r_i.
     """
     ri = alg.cartan.ri(i)
     shadows = {}
@@ -125,30 +124,40 @@ def _residue_shadows(alg: YtAlgebra, i: int, m: Monomial):
         if j == i:
             k = l % ri
             shadows.setdefault(k, []).append(((1, (l - k) // ri), u))
-    return {k: tuple(s) for k, s in shadows.items()}
+    # m is level-sorted, so each shadow is too
+    return {k: Monomial.from_sorted(tuple(s)) for k, s in shadows.items()}
 
 
-# rank-1 shadow -> ft_sl2(mk) in A-string form, mk the monomial with the
-# shadow as its data: one (v, lam) per term lam * mu of ft_sl2(mk), where
-# mu = mk * prod A_{1,level}^-exponent over v, a tuple of (level, exponent).
-# A value depends only on its key, so every node and residue class whose
-# shadow is the same shares one entry, and the key tuple is shared with mk,
-# which the rank-1 character cache keeps.
-_STRINGS = {}
+# dominant rank-1 monomial -> its deformed character in A-string form: one
+# (v, lam) per term lam * m A^-v, v a tuple of (level, exponent).  Every
+# rank-1 algebra has the Cartan matrix [[2]], so one table serves them all,
+# and every node and residue class whose shadow is m shares the entry.
+_FT_SL2 = {}
 
 
-def _a_strings(shadow: tuple):
-    strings = _STRINGS.get(shadow)
+def ft_sl2(alg: YtAlgebra, m: Monomial) -> list:
+    """Rank-1 deformed character with m as unique dominant monomial, as A-strings.
+
+    alg must have rank 1.  E_t(m), normalized to leading coefficient 1, is in
+    the kernel; subtracting lam * f_it(mu) for each lower dominant term
+    lam * mu leaves m as its only dominant monomial.  The f_it(mu) come from
+    this table, so the triangular subtraction recurses through it.
+    """
+    if alg.cartan.n != 1:
+        raise ValueError("ft_sl2 needs a rank-1 algebra")
+    strings = _FT_SL2.get(m)
     if strings is None:
-        s2 = sl2_algebra()
-        mk = Monomial.from_sorted(shadow)
+        out = _normalize_leading(e_it(alg, 1, m), m)  # a new element: subtract in place
+        for mu, lam in out.dominant_part().items():
+            if mu != m:
+                out.add_scaled(f_it(alg, 1, mu), -lam)
         strings = []
-        for mu, lam in ft_sl2(s2, mk).items():
-            v = s2.factor_over_A(mu, mk)
+        for mu, lam in out.items():
+            v = alg.factor_over_A(mu, m)
             if v is None:
-                raise NotIDominant(f"rank-1 character term {mu} does not factor over {mk}")
+                raise NotIDominant(f"rank-1 character term {mu} does not factor over {m}")
             strings.append((tuple((lv, e) for (_, lv), e in v.items()), lam))
-        _STRINGS[shadow] = strings
+        _FT_SL2[m] = strings
     return strings
 
 
@@ -169,9 +178,10 @@ def lift_it(alg: YtAlgebra, i: int, m: Monomial) -> list:
     The term W = {} is m itself.
     """
     ri = alg.cartan.ri(i)
+    s2 = sl2_algebra()
     classes = [
-        [({(i, k + lv * ri): e for lv, e in v}, lam) for v, lam in _a_strings(shadow)]
-        for k, shadow in _residue_shadows(alg, i, m).items()
+        [({(i, k + lv * ri): e for lv, e in v}, lam) for v, lam in ft_sl2(s2, mk)]
+        for k, mk in _residue_shadows(alg, i, m).items()
     ]
     terms = classes[0] if classes else [({}, ONE)]
     for strings in classes[1:]:

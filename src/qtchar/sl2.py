@@ -1,9 +1,10 @@
-"""Closed-form rank-1 theory.
+"""Closed-form and classical rank-1 theory.
 
 Dominant rank-1 monomials decompose uniquely into 2-segments (arithmetic
 progressions of step 2); the deformed character of a segment has an explicit
-descending A^-1-string expansion, and general deformed characters follow by
-triangular subtraction of lower dominant monomials.
+descending A^-1-string expansion.  The general rank-1 deformed character is
+built by triangular subtraction in screening.ft_sl2; this module keeps the
+shared rank-1 algebra and the leading-coefficient normalization it uses.
 """
 
 from __future__ import annotations
@@ -154,34 +155,3 @@ def _normalize_leading(elem: YtElement, m: Monomial) -> YtElement:
     if sp is None or sp[1] != 1:
         raise InternalInconsistency(f"leading coefficient on {m} is {lead}, not a t-power")
     return elem.scale(TPoly.t_power(-sp[0]))
-
-
-def et_sl2(alg: YtAlgebra, m: Monomial) -> YtElement:
-    """Ordered product of level-wise fundamental factors, leading coefficient 1."""
-    counts = _counts(m)
-    acc = YtElement.unit()
-    for l in sorted(counts):
-        factor = ft_segment(alg, Segment(l, 1))
-        for _ in range(counts[l]):
-            acc = alg.mul(acc, factor)
-    return _normalize_leading(acc, m)
-
-
-# dominant rank-1 monomial -> its deformed character; every rank-1 algebra
-# has the same Cartan matrix [[2]], so one table serves them all
-_FT_SL2 = {}
-
-
-def ft_sl2(alg: YtAlgebra, m: Monomial) -> YtElement:
-    """Deformed character with m as unique dominant monomial (alg of rank 1)."""
-    if alg.cartan.n != 1:
-        raise ValueError("ft_sl2 needs a rank-1 algebra")
-    cached = _FT_SL2.get(m)
-    if cached is not None:
-        return cached
-    out = et_sl2(alg, m)  # a new element, so the lower characters are subtracted in place
-    for mu, lam in out.dominant_part().items():
-        if mu != m:
-            out.add_scaled(ft_sl2(alg, mu), -lam)
-    _FT_SL2[m] = out
-    return out

@@ -16,7 +16,8 @@ from qtchar.algebra import Monomial
 from qtchar.cartan import cartan_from_json
 from qtchar.characters import RepElement, fundamental, lt_and_kl, star_product
 from qtchar.classical import classical_algorithm
-from qtchar.sl2 import Segment, classic_L, ft_sl2, sl2_algebra
+from qtchar.screening import f_it
+from qtchar.sl2 import Segment, classic_L, sl2_algebra
 from qtchar.suites import FIXTURE_KEYS, KERNEL_TYPES, fixture_element
 from qtchar.tpoly import TPoly
 
@@ -51,7 +52,7 @@ def test_criterion_2_classical_oracle():
     for start in range(0, 5):
         for count in range(1, 6):
             seg = Segment(2 * start, count)
-            assert ft_sl2(s2, seg.monomial()).at_one() == classic_L(seg.monomial())
+            assert f_it(s2, 1, seg.monomial()).at_one() == classic_L(seg.monomial())
 
 
 def test_criterion_3_kernel_suite():

@@ -147,6 +147,13 @@ def test_term_arithmetic_returns_new_elements(b2):
         assert result == x and result is not x and result.terms is not x.terms
 
 
+def test_yt_element_is_unhashable(b2):
+    """add_scaled mutates an element in place, so a hash of its terms would go stale."""
+    x = random_element(b2, random.Random(2))
+    with pytest.raises(TypeError):
+        hash(x)
+
+
 def _mul_by_double_loop(alg, x, y):
     """Reference product: one bichar_n per pair of terms."""
     d = {}

@@ -24,7 +24,8 @@ from qtchar.characters import (
     t_algorithm,
 )
 from qtchar.errors import BudgetExceeded, InternalInconsistency, NotDominant
-from qtchar.sl2 import _FT_SL2, et_sl2, ft_sl2, sl2_algebra
+from qtchar.screening import e_it, f_it, ft_sl2
+from qtchar.sl2 import sl2_algebra
 from qtchar.suites import KERNEL_TYPES
 from qtchar.tpoly import ONE, ZERO, TPoly
 
@@ -277,10 +278,6 @@ def test_rep_element_is_not_a_yt_element():
         RepElement({Monomial({(1, 0): -1}): ONE})
 
 
-def _terms_of(cache):
-    return {key: list(x.terms.items()) for key, x in cache.items()}
-
-
 def test_products_leave_cached_characters_unchanged():
     """chi_qt, star_product, lt_and_kl and ft_sl2 only read the cached characters."""
     alg = algebra("B2")
@@ -291,20 +288,25 @@ def test_products_leave_cached_characters_unchanged():
     tops = [Monomial({(1, 1001): 2, (1, 1003): 1}),
             Monomial({(1, 1001): 1, (1, 1003): 2, (1, 1005): 1})]
     for top in tops:
-        assert top not in _FT_SL2
-        for mu in et_sl2(s2, top).dominant_part():
+        assert top not in screening._FT_SL2
+        for mu in e_it(s2, 1, top).dominant_part():
             if mu != top:
                 ft_sl2(s2, mu)
     fundamentals = _FUNDAMENTALS[alg]
-    before = _terms_of(fundamentals), _terms_of(_FT_SL2)
+
+    def snapshot():
+        return ({key: list(x.terms.items()) for key, x in fundamentals.items()},
+                {key: list(s) for key, s in screening._FT_SL2.items()})
+
+    before = snapshot()
     x = RepElement({Monomial({(1, 0): 1, (2, 3): 1}): TPoly({1: 2}), Monomial.y(2, 0): ONE})
     y = RepElement.from_monomial(Monomial.y(1, 2), TPoly({-1: 1, 0: 1}))
     chi_qt(alg, x)
     star_product(alg, x, y)
     lt_and_kl(alg, Monomial({(2, 0): 1, (1, 5): 1}))
     for top in tops:
-        assert ft_sl2(s2, top).dominant_part() == {top: ONE}
-    after = _terms_of(fundamentals), _terms_of(_FT_SL2)
+        assert f_it(s2, 1, top).dominant_part() == {top: ONE}
+    after = snapshot()
     assert after[0] == before[0]
     assert {key: after[1][key] for key in before[1]} == before[1]
 

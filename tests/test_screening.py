@@ -2,18 +2,19 @@ import random
 
 import pytest
 
-from qtchar import algebra
+from qtchar import algebra, screening
 from qtchar.algebra import Monomial, YtElement
 from qtchar.errors import NotIDominant
 from qtchar.screening import (
     e_it,
     f_it,
+    ft_sl2,
     i_dominant_part,
     in_kernel,
     in_kernel_all,
     s_it,
 )
-from qtchar.sl2 import ft_sl2, sl2_algebra
+from qtchar.sl2 import sl2_algebra
 from qtchar.suites import KERNEL_TYPES
 from qtchar.tpoly import ONE, ZERO, TPoly
 
@@ -127,7 +128,7 @@ def _f_it_by_mul(alg, i, m):
     for k, shadow in sorted(shadows.items()):
         mk = Monomial(shadow)
         chi = {}
-        for mu, lam in ft_sl2(s2, mk).items():
+        for mu, lam in f_it(s2, 1, mk).items():
             v = s2.factor_over_A(mu, mk)
             c = lam * TPoly.t_power(-s2.bichar_n(mk, s2.a_monomial_expand(v)))
             target = alg.a_monomial_expand({(i, k + lv * ri): e for (_, lv), e in v.items()})
@@ -158,6 +159,17 @@ def test_f_it_matches_twisted_product(name):
         for _ in range(8):
             m = _random_i_dominant(alg, i, rng)
             assert f_it(alg, i, m) == _f_it_by_mul(alg, i, m), (i, m)
+
+
+def test_ft_sl2_rejects_higher_rank_and_leaves_table_unchanged():
+    cached = Monomial.y(1, 0)
+    ft_sl2(sl2_algebra(), cached)
+    fresh = Monomial({(1, 901): 1, (1, 903): 1})
+    before = dict(screening._FT_SL2)
+    for m in (cached, fresh):
+        with pytest.raises(ValueError):
+            ft_sl2(algebra("A2"), m)
+    assert screening._FT_SL2 == before
 
 
 @pytest.mark.parametrize("name", ["A3", "B2", "G2", "F4", "E6", "E8"])

@@ -5,13 +5,13 @@ import pytest
 
 from qtchar.algebra import Monomial
 from qtchar.errors import NotDominant
+from qtchar.screening import e_it, f_it
 from qtchar.sl2 import (
     Segment,
+    _normalize_leading,
     classic_L,
     decompose_segments,
-    et_sl2,
     ft_segment,
-    ft_sl2,
     is_irregular,
     sl2_algebra,
 )
@@ -104,12 +104,24 @@ def test_ft_segment_matches_classic_at_t1(sl2):
         assert f.at_one() == classic_L(seg.monomial())
 
 
-def test_et_leading_coefficient_is_one(sl2):
+def test_ft_segment_is_f_it_at_t_level():
+    """The closed form of a segment is the rank-1 character of its monomial,
+    coefficient for coefficient in t, not only at t = 1."""
+    s2 = sl2_algebra()
+    for start in range(-4, 5):
+        for count in range(1, 6):
+            seg = Segment(start, count)
+            assert ft_segment(s2, seg) == f_it(s2, 1, seg.monomial()), seg
+
+
+def test_et_leading_coefficient_is_one():
+    s2 = sl2_algebra()
     for m in [mono(0, 2), mono(0, 0), mono(0, 4, 6)]:
-        assert et_sl2(sl2, m).coeff(m) == ONE
+        assert _normalize_leading(e_it(s2, 1, m), m).coeff(m) == ONE
 
 
-def test_ft_sl2_unique_dominant_and_t1(sl2):
+def test_ft_sl2_unique_dominant_and_t1():
+    s2 = sl2_algebra()
     rng = random.Random(8)
     done = 0
     while done < 12:
@@ -117,16 +129,16 @@ def test_ft_sl2_unique_dominant_and_t1(sl2):
         if is_irregular(m):
             continue
         done += 1
-        f = ft_sl2(sl2, m)
+        f = f_it(s2, 1, m)
         assert f.dominant_part() == {m: ONE}
         assert f.at_one() == classic_L(m)
 
 
-def test_ft_sl2_irregular_t1_drops_a_summand(sl2):
+def test_ft_sl2_irregular_t1_drops_a_summand():
     # Y0^2 Y2 is irregular; triangular subtraction overshoots at t = 1
     # by exactly the classical character of Y0
     m = mono(0, 0, 2)
-    got = ft_sl2(sl2, m).at_one()
+    got = f_it(sl2_algebra(), 1, m).at_one()
     want = classic_L(m)
     diff = {}
     for k in set(got) | set(want):
@@ -136,9 +148,9 @@ def test_ft_sl2_irregular_t1_drops_a_summand(sl2):
     assert diff == {k: -v for k, v in classic_L(mono(0)).items()}
 
 
-def test_ft_sl2_segment_example(sl2):
+def test_ft_sl2_segment_example():
     # {0,2} is one segment, so its character has the classical 3 terms
-    f = ft_sl2(sl2, mono(0, 2))
+    f = f_it(sl2_algebra(), 1, mono(0, 2))
     assert len(f) == 3
     assert f.coeff(mono(0, 2)) == ONE
 
