@@ -17,6 +17,7 @@ from .characters import (
     chi_qt,
     chi_qt_inverse,
     decomposition_t1,
+    dominant_product,
     e_t,
     e_t_normalized,
     fundamental,

@@ -157,6 +157,13 @@ def fundamental(alg: YtAlgebra, i: int, l: int = 0, budget: Budget = DEFAULT_BUD
     return base if l == 0 else base.shift(l)
 
 
+def _fundamental_order(m: Monomial) -> list:
+    """The shifted fundamentals (i, l) whose ordered product is E_t(m): levels
+    increasing, then nodes, each Y_{i,l} repeated u_{i,l} times."""
+    return [key for key, u in sorted(m.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+            for _ in range(u)]
+
+
 def e_t(alg: YtAlgebra, m: Monomial, budget: Budget = DEFAULT_BUDGET) -> YtElement:
     """Ordered product of shifted fundamentals (levels increasing).
 
@@ -168,20 +175,75 @@ def e_t(alg: YtAlgebra, m: Monomial, budget: Budget = DEFAULT_BUDGET) -> YtEleme
         raise NotDominant(f"{m} is not dominant")
     _depth_bound_in_budget(alg, m, budget)
     acc = YtElement.unit()
-    for (i, l), u in sorted(m.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-        factor = fundamental(alg, i, l, budget)
-        for _ in range(u):
-            acc = alg.mul(acc, factor)
-            if len(acc) > budget.max_monomials:
-                raise BudgetExceeded(
-                    f"E_t({m}) reached {len(acc)} monomials, more than {budget.max_monomials}"
-                )
+    for i, l in _fundamental_order(m):
+        acc = alg.mul(acc, fundamental(alg, i, l, budget))
+        if len(acc) > budget.max_monomials:
+            raise BudgetExceeded(
+                f"E_t({m}) reached {len(acc)} monomials, more than {budget.max_monomials}"
+            )
     return acc
 
 
 def e_t_normalized(alg: YtAlgebra, m: Monomial, budget: Budget = DEFAULT_BUDGET) -> YtElement:
     """e_t rescaled so the coefficient of m is exactly 1."""
     return _normalize_leading(e_t(alg, m, budget), m)
+
+
+def dominant_product(alg: YtAlgebra, keys, budget: Budget = DEFAULT_BUDGET) -> YtElement:
+    """Dominant part of the ordered product of the shifted fundamentals Y_{i,l}, (i, l) in keys.
+
+    The factors are multiplied left to right, a partial term m1 times a
+    factor term m2 with the twist t^N(m1, m2).  The supply at (i, l) is the
+    sum, over the factors still to come, of each one's largest positive
+    exponent there; a partial term whose exponent at some (i, l) is below
+    minus the supply can reach no dominant monomial and is dropped.  Each
+    factor is indexed by its positive keys, so a partial term short at some
+    key is paired only with the factor terms that supply enough there.
+    Every kept partial product is held to budget.max_monomials.
+    """
+    factors = [fundamental(alg, i, l, budget) for i, l in keys]
+    supplies = [{}]  # supplies[k]: the most that the factors after factor k add per key
+    for f in reversed(factors[1:]):
+        supply = dict(supplies[-1])
+        top = {}
+        for m in f.monomials():
+            for key, e in m.items():
+                if e > top.get(key, 0):
+                    top[key] = e
+        for key, e in top.items():
+            supply[key] = supply.get(key, 0) + e
+        supplies.append(supply)
+    supplies.reverse()
+    acc = {Monomial.unit(): ONE}
+    for f, supply in zip(factors, supplies):
+        terms = list(f.items())
+        by_key = {}  # key -> [(exponent, m2, p2)] over the terms positive there
+        for m2, p2 in terms:
+            for key, e in m2.items():
+                if e > 0:
+                    by_key.setdefault(key, []).append((e, m2, p2))
+        out = {}
+        for m1, p1 in acc.items():
+            candidates = terms
+            for key, e in m1.items():
+                short = -e - supply.get(key, 0)
+                if short > 0:
+                    candidates = [(m2, p2) for e2, m2, p2 in by_key.get(key, ()) if e2 >= short]
+                    break
+            for m2, p2 in candidates:
+                m = m1.times(m2)
+                if any(e < 0 and e + supply.get(key, 0) < 0 for key, e in m.items()):
+                    continue
+                q = p1 * p2 * TPoly.t_power(alg.bichar_n(m1, m2))
+                if m in out:
+                    q = out[m] + q
+                out[m] = q
+        acc = {m: p for m, p in out.items() if p}
+        if len(acc) > budget.max_monomials:
+            raise BudgetExceeded(
+                f"partial product reached {len(acc)} monomials, more than {budget.max_monomials}"
+            )
+    return YtElement(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -233,24 +295,23 @@ def q_char(alg: YtAlgebra, x: RepElement, budget: Budget = DEFAULT_BUDGET) -> di
     return chi_qt(alg, x, budget).at_one()
 
 
-def chi_qt_inverse(alg: YtAlgebra, z: YtElement, budget: Budget = DEFAULT_BUDGET) -> RepElement:
-    """Invert chi_qt by peeling maximal dominant monomials.
+def _peel(alg: YtAlgebra, rest: YtElement, budget: Budget) -> RepElement:
+    """The RepElement whose chi_qt has the dominant part rest, rest being dominant.
 
-    The residual is a private copy of z, from which each peel subtracts
-    lam E_t(mu) in place, so z itself is left unchanged.
+    Each step takes a maximal dominant monomial mu of rest and subtracts
+    lam E_t(mu), in place, until rest is zero.  Only the dominant part of
+    each E_t(mu) is formed, by dominant_product, so rest stays dominant.
     """
     out = {}
-    rest = YtElement(z.terms)
     while not rest.is_zero():
-        doms = [m for m in rest.monomials() if m.is_dominant()]
-        if not doms:
-            raise InversionFails("nonzero residual without a dominant monomial")
+        doms = list(rest.monomials())
         maximal = [
             m for m in doms
             if not any(other != m and alg.leq(m, other) for other in doms)
         ]
         mu = max(maximal, key=lambda m: (m.degree(), m.sortkey()))
-        e = e_t(alg, mu, budget)
+        _depth_bound_in_budget(alg, mu, budget)
+        e = dominant_product(alg, _fundamental_order(mu), budget)
         sp = e.coeff(mu).single_power()
         if sp is None or sp[1] != 1:
             raise InversionFails(f"leading coefficient of E_t({mu}) is not a t-power")
@@ -260,11 +321,46 @@ def chi_qt_inverse(alg: YtAlgebra, z: YtElement, budget: Budget = DEFAULT_BUDGET
     return RepElement(out)
 
 
+def chi_qt_inverse(alg: YtAlgebra, z: YtElement, budget: Budget = DEFAULT_BUDGET) -> RepElement:
+    """Invert chi_qt: peel the dominant part of z, then check the whole of z.
+
+    The peel reads only dominant coefficients, which determine an element of
+    Im chi_qt.  For a z outside the image the peel still returns something,
+    so chi_qt of the result is compared with z in full; z is left unchanged.
+    """
+    x = _peel(alg, YtElement(z.dominant_part()), budget)
+    if chi_qt(alg, x, budget) != z:
+        raise InversionFails("z is not in the image of chi_qt: chi_qt of the peel differs from z")
+    return x
+
+
 def star_product(alg: YtAlgebra, x: RepElement, y: RepElement,
                  budget: Budget = DEFAULT_BUDGET) -> RepElement:
-    """Deformed Grothendieck product."""
-    z = alg.mul(chi_qt(alg, x, budget), chi_qt(alg, y, budget))
-    return chi_qt_inverse(alg, z, budget)
+    """Deformed Grothendieck product chi_qt^-1(chi_qt(x) chi_qt(y)), from dominant monomials only.
+
+    chi_qt(x) chi_qt(y) is the sum, over the terms p_x m_x of x and p_y m_y
+    of y, of p_x p_y times the ordered product of the fundamentals of
+    E_t(m_x) followed by those of E_t(m_y).  It lies in Im chi_qt, the
+    intersection of the kernels of the deformed screening operators, and a
+    nonzero element there has a dominant monomial (Frenkel-Mukhin,
+    "Combinatorics of q-characters", math/9911112, carried to q,t by the
+    paper).  So the peel of chi_qt_inverse reads only dominant coefficients
+    and ends exactly when the dominant part is zero, and its answer depends
+    only on the dominant part of the product.  That part, and the dominant
+    part of each E_t(mu) peeled, comes from dominant_product; no
+    non-dominant term of either is formed.  The product is in the image by
+    construction, so the full check of chi_qt_inverse is not repeated here;
+    suites.products compares the result with the full product.
+    """
+    for m in (*x.monomials(), *y.monomials()):
+        _depth_bound_in_budget(alg, m, budget)
+    right = [(_fundamental_order(my), py) for my, py in y.items()]
+    z = YtElement.zero()
+    for mx, px in x.items():
+        left = _fundamental_order(mx)
+        for keys, py in right:
+            z.add_scaled(dominant_product(alg, left + keys, budget), px * py)
+    return _peel(alg, z, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,18 @@ import random
 
 from .algebra import Monomial, YtAlgebra, YtElement
 from .cartan import cartan_from_json
-from .characters import DEFAULT_BUDGET, Budget, fundamental, positivity_report, t_algorithm
-from .grammar import parse_element_lines
+from .characters import (
+    DEFAULT_BUDGET,
+    Budget,
+    RepElement,
+    chi_qt,
+    chi_qt_inverse,
+    fundamental,
+    positivity_report,
+    star_product,
+    t_algorithm,
+)
+from .grammar import parse_element_lines, parse_rep_monomial
 from .screening import in_kernel_all
 from .sl2 import sl2_algebra
 from .tpoly import TPoly
@@ -27,6 +37,13 @@ FIXTURE_KEYS = [
 ]
 
 KERNEL_TYPES = ["A1", "A2", "A3", "A4", "B2", "C2", "B3", "C3", "G2"]
+
+# (type, left, right): the star products of the product benchmark
+PRODUCT_INPUTS = [
+    ("D5", "X[3,2]", "X[3,0]"),
+    ("A4", "X[2,4] X[3,2]", "X[2,0] X[3,1]"),
+    ("E6", "X[1,2]", "X[1,0]"),
+]
 
 POSITIVITY_TYPES = (
     [f"A{n}" for n in range(1, 7)]
@@ -58,6 +75,18 @@ def random_element(alg: YtAlgebra, rng: random.Random) -> YtElement:
         coeff = TPoly({rng.randrange(-3, 4): rng.choice([-2, -1, 1, 2])})
         total.add_scaled(YtElement.from_monomial(Monomial(d), coeff))
     return total
+
+
+def random_rep_element(alg: YtAlgebra, rng: random.Random, degree: int) -> RepElement:
+    """One or two terms, each a t-power times a product of degree X_{i,l}."""
+    terms = {}
+    for _ in range(rng.randrange(1, 3)):
+        d = {}
+        for _ in range(degree):
+            key = (rng.choice(list(alg.cartan.nodes())), rng.randrange(0, 4))
+            d[key] = d.get(key, 0) + 1
+        terms[Monomial(d)] = TPoly.t_power(rng.randrange(-2, 3), rng.choice([-2, -1, 1, 2]))
+    return RepElement(terms)
 
 
 def appendix(budget: Budget = DEFAULT_BUDGET):
@@ -174,10 +203,38 @@ def bicharacters(budget: Budget = DEFAULT_BUDGET):
     return checks
 
 
+def products(budget: Budget = DEFAULT_BUDGET):
+    """star_product against the full path: chi_qt of the result equals the
+    full twisted product chi_qt(x) chi_qt(y), and chi_qt_inverse of that
+    product, with its full check, returns the same element."""
+    cases = []
+    for name, left, right in PRODUCT_INPUTS:
+        x, y = (RepElement.from_monomial(parse_rep_monomial(t)) for t in (left, right))
+        cases.append((_algebra(name), f"{name} {left} * {right}", x, y))
+    rng = random.Random(20240919)
+    for name in KERNEL_TYPES:
+        alg = _algebra(name)
+        x, y = random_rep_element(alg, rng, 2), random_rep_element(alg, rng, 1)
+        cases.append((alg, f"{name} random {x!r} * {y!r}", x, y))
+    checks = []
+    for alg, label, x, y in cases:
+        full = alg.mul(chi_qt(alg, x, budget), chi_qt(alg, y, budget))
+        got = star_product(alg, x, y, budget)
+        # chi_qt_inverse raises InversionFails unless chi_qt of its result is
+        # full, so an equal result already has a zero full residual
+        same = chi_qt_inverse(alg, full, budget) == got
+        checks.append({"name": f"{label}: zero full residual",
+                       "ok": same or chi_qt(alg, got, budget) == full})
+        checks.append({"name": f"{label}: equals chi_qt_inverse of the full product",
+                       "ok": same})
+    return checks
+
+
 SUITES = {
     "appendix": appendix,
     "kernels": kernels,
     "positivity": positivity,
     "involution": involution,
     "bicharacters": bicharacters,
+    "products": products,
 }

@@ -165,6 +165,11 @@ def test_criterion_6_adjacent_scalar_alternative_form():
     assert got == want
 
 
+def test_criterion_6_products_suite():
+    """star_product against the full twisted product and the full chi_qt_inverse."""
+    _assert_suite(suites.products(), 24)
+
+
 def test_criterion_7_involution_suite():
     _assert_suite(suites.involution(), 3)
 

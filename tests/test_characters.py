@@ -15,6 +15,7 @@ from qtchar.characters import (
     chi_qt,
     chi_qt_inverse,
     decomposition_t1,
+    dominant_product,
     e_t,
     e_t_normalized,
     fundamental,
@@ -23,7 +24,7 @@ from qtchar.characters import (
     star_product,
     t_algorithm,
 )
-from qtchar.errors import BudgetExceeded, InternalInconsistency, NotDominant
+from qtchar.errors import BudgetExceeded, InternalInconsistency, InversionFails, NotDominant
 from qtchar.screening import e_it, f_it, ft_sl2
 from qtchar.sl2 import sl2_algebra
 from qtchar.suites import KERNEL_TYPES
@@ -233,6 +234,25 @@ def test_chi_qt_inverse_leaves_its_argument_unchanged(b2):
     assert z == copy
     assert list(z.terms.items()) == before
     assert all(z.terms[m] is p for m, p in before)
+
+
+@pytest.mark.parametrize("name", ["A3", "B2", "G2"])
+def test_dominant_product_is_dominant_part_of_ordered_product(name):
+    """Pruned and indexed, in any factor order, against the full twisted product."""
+    alg = algebra(name)
+    nodes = list(alg.cartan.nodes())
+    rng = random.Random(f"dominant_product:{name}")
+    for _ in range(8):
+        keys = [(rng.choice(nodes), rng.randrange(0, 5)) for _ in range(rng.randrange(1, 4))]
+        full = alg.mul(*(fundamental(alg, i, l) for i, l in keys))
+        assert dominant_product(alg, keys) == YtElement(full.dominant_part()), keys
+    assert dominant_product(alg, []) == YtElement.unit()
+
+
+def test_chi_qt_inverse_rejects_an_element_outside_the_image(b2):
+    """A bare Y[1,0] has a dominant monomial but is no chi_qt image."""
+    with pytest.raises(InversionFails):
+        chi_qt_inverse(b2, YtElement.from_monomial(Monomial.y(1, 0)))
 
 
 def _random_rep_element(rng):

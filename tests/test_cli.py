@@ -175,11 +175,32 @@ def test_rank_past_max_rank_exit_4(capsys, monkeypatch, spec):
 
 
 def test_product_running_size_exit_4(capsys):
-    """E_t's running product is held to --budget-monomials after each factor."""
-    code, out, err = run(capsys, "product", "--cartan", "G2", "--budget-monomials", "300",
+    """Each kept partial product of star_product is held to --budget-monomials."""
+    code, out, err = run(capsys, "product", "--cartan", "G2", "--budget-monomials", "100",
                          "X[2,0] X[2,1]", "X[2,2] X[2,3]")
     assert code == 4 and out == ""
-    assert len(err.splitlines()) == 1 and "2745 monomials" in err
+    assert len(err.splitlines()) == 1
+    assert "partial product" in err and "reached 121 monomials, more than 100" in err
+
+
+def test_e_t_running_size_exit_4(capsys):
+    """E_t's running product is held to --budget-monomials after each factor."""
+    code, out, err = run(capsys, "kl", "--cartan", "G2", "--budget-monomials", "300",
+                         "Y[2,0] Y[2,1] Y[2,2] Y[2,3]")
+    assert code == 4 and out == ""
+    assert len(err.splitlines()) == 1 and "reached 2745 monomials, more than 300" in err
+
+
+def test_product_below_e_t_size_exit_0(capsys):
+    """The product forms no E_t, so a budget below E_t(Y[2,0] Y[2,1] Y[2,2] Y[2,3])'s
+    2745 monomials does not stop it.  Both sides are in E_t's level order, so
+    the full product chi_qt(x) chi_qt(y) is that E_t, and the full path returns
+    the one monomial with coefficient 1."""
+    code, out, err = run(capsys, "product", "--cartan", "G2", "--budget-monomials", "300",
+                         "X[2,0] X[2,1]", "X[2,2] X[2,3]")
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"terms": [{"coeff": {"0": 1},
+                                          "monomial": "X[2,0] X[2,1] X[2,2] X[2,3]"}]}
 
 
 def test_verify_appendix(capsys):
