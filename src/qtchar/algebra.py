@@ -72,8 +72,12 @@ class Monomial:
             return other
         d = dict(self.data)
         for k, e in other.data:
-            d[k] = d.get(k, 0) + e
-        return Monomial.from_sorted(tuple(sorted([kv for kv in d.items() if kv[1]])))
+            v = d.get(k, 0) + e
+            if v:
+                d[k] = v
+            else:
+                del d[k]  # v = 0 with e != 0 means k was a key of self
+        return Monomial.from_sorted(tuple(sorted(d.items())))
 
     def power(self, n: int) -> "Monomial":
         return Monomial({k: n * e for k, e in self.data})
@@ -435,7 +439,7 @@ class YtAlgebra:
             for j, dl, de in self._a_inv[i]:
                 key = (j, l + dl)
                 d[key] = d.get(key, 0) + e * de
-        return Monomial(d)
+        return Monomial.from_sorted(tuple(sorted([kv for kv in d.items() if kv[1]])))
 
     def factor_over_A(self, m: Monomial, base: Monomial):
         """Unique v >= 0 with m = base * prod A_{i,l}^-v_{i,l}, or None.

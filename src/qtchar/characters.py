@@ -63,21 +63,28 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
     Monomials are processed in (A-depth, lexicographic) order, which extends
     the partial order.  Each processed node-i-dominant monomial m with
     nonzero leftover coefficient adds its lift to the accumulators: the
-    (W, coefficient) pairs of lift_it, the terms m A^-W of f_it, each put in
-    Y-form from the exponents of m and W alone.  The term W = {} is m itself,
-    whose coefficient must be 1, and is skipped; a node where m has no Y_i
-    factor is skipped too, the lift being m alone.  A non-dominant monomial
-    must receive the same value from every node that sees a negative
-    exponent, and disagreement aborts loudly.  A monomial first met in the
-    lift of m gets the A-depth of m plus sum W; past the bound of
-    depth_bound the run aborts as inconsistent.  With record_blocks, each
-    lift is also returned in Y-form as (i, m, f_it(m)).
+    terms m A^-W of f_it, from the (W, coefficient) pairs of lift_it.
+    lift_it reads only the node-i exponents of m, so every m with the same
+    node-i part of m.data has the same pairs.  A memo that lives only for
+    this call holds them once per such part, in Y-delta form: per term the
+    Y-exponents of A^-W, sum W and the coefficient.  Each m then gets m A^-W
+    as m times the delta, and its A-depth as depth(m) + sum W, from the
+    entry alone.  The term W = {} is m itself, whose coefficient must be 1;
+    it is checked when the entry is built and left out.  A node where m has
+    no Y_i factor is skipped, the lift being m alone.  The accumulator maps
+    a monomial to {node: {t-exponent: integer}}, summed in place and made
+    into TPolys once, when the monomial is processed.  A non-dominant
+    monomial must receive the same value from every node that sees a
+    negative exponent, and disagreement aborts loudly.  An A-depth past the
+    bound of depth_bound aborts the run as inconsistent.  With record_blocks,
+    each lift is also returned in Y-form as (i, m, f_it(m)).
     """
     if not m_plus.is_dominant():
         raise NotDominant(f"seed {m_plus} is not dominant")
     bound = _depth_bound_in_budget(alg, m_plus, budget)
-    nodes = list(alg.cartan.nodes())
-    acc = {i: {} for i in nodes}
+    acc = {}  # monomial -> {node i: {t-exponent: integer coefficient}}
+    # node-i part of m.data (its keys name i) -> [(Y-delta of A^-W, sum W, coefficient items)]
+    lifts = {}
     s = {}
     heap = [(0, m_plus.sortkey(), m_plus)]
     seen = {m_plus}
@@ -85,16 +92,19 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
     cap = budget.max_a_depth
     while heap:
         depth_m, _, m = heapq.heappop(heap)
-        neg, pos = set(), set()  # nodes with a negative / positive exponent in m
-        for (i, _), e in m.items():
-            (neg if e < 0 else pos).add(i)
-        si = {i: acc[i].pop(m, ZERO) for i in nodes}
+        neg, parts = set(), {}  # nodes with a negative exponent in m; node -> its part of m.data
+        for kv in m.data:
+            i = kv[0][0]
+            if kv[1] < 0:
+                neg.add(i)
+            parts.setdefault(i, []).append(kv)
+        si = {i: TPoly.adopt(d) for i, d in acc.pop(m, {}).items()}
         if m == m_plus:
             sm = ONE
         elif not neg:
             sm = ZERO
         else:
-            vals = [si[i] for i in nodes if i in neg]
+            vals = [si.get(i, ZERO) for i in sorted(neg)]
             for v in vals[1:]:
                 if v != vals[0]:
                     raise AlgorithmFails(
@@ -102,33 +112,42 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
                     )
             sm = vals[0]
         s[m] = sm
-        y = dict(m.data)
-        for i in nodes:
-            # with no Y_i factor, the lift of m at node i is m alone and adds nothing
-            if i in neg or i not in pos:
+        # a node where m has no Y_i factor has no part, its lift being m alone
+        for i, part in parts.items():
+            if i in neg:
                 continue
-            mu_i = sm - si[i]
-            if mu_i.is_zero():
+            mu_i = (sm - si.get(i, ZERO)).coeffs.items()
+            if not mu_i:
                 continue
-            lift = lift_it(alg, i, m)
+            key = tuple(part)
+            lift = lifts.get(key)
+            if lift is None:
+                lift = []
+                for w, coeff in lift_it(alg, i, m):
+                    if not w:
+                        if coeff != ONE:
+                            raise InternalInconsistency(
+                                f"lift of {m} at node {i} has leading coefficient {coeff}"
+                            )
+                        continue
+                    lift.append((alg.a_monomial_expand(w), sum(w.values()),
+                                 tuple(coeff.coeffs.items())))
+                lifts[key] = lift
             if record_blocks:
                 blocks.append((i, m, f_it(alg, i, m)))
-            for w, coeff in lift:
-                if not w:
-                    if coeff != ONE:
-                        raise InternalInconsistency(
-                            f"lift of {m} at node {i} has leading coefficient {coeff}"
-                        )
-                    continue
-                mr = alg.yv_exponents(y, w)
-                acc[i][mr] = acc[i].get(mr, ZERO) + mu_i * coeff
+            for delta, depth_w, coeff in lift:
+                mr = m.times(delta)
+                d = acc.setdefault(mr, {}).setdefault(i, {})
+                for e1, c1 in mu_i:
+                    for e2, c2 in coeff:
+                        d[e1 + e2] = d.get(e1 + e2, 0) + c1 * c2
                 if mr not in seen:
                     seen.add(mr)
                     if len(seen) > budget.max_monomials:
                         raise BudgetExceeded(
                             f"more than {budget.max_monomials} monomials discovered"
                         )
-                    depth = depth_m + sum(w.values())
+                    depth = depth_m + depth_w
                     if depth > bound:
                         raise InternalInconsistency(
                             f"A-depth {depth} of {mr} exceeds the bound {bound}"

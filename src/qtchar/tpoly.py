@@ -69,10 +69,19 @@ class TPoly:
         return TPoly({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other) -> "TPoly":
-        return self + (-TPoly.coerce(other))
+        d = dict(self.coeffs)
+        for e, c in TPoly.coerce(other).coeffs.items():
+            v = d.get(e, 0) - c
+            if v:
+                d[e] = v
+            else:
+                del d[e]  # v = 0 with c != 0 means e was a key of self
+        p = object.__new__(TPoly)
+        p.coeffs = d
+        return p
 
     def __rsub__(self, other) -> "TPoly":
-        return TPoly.coerce(other) + (-self)
+        return TPoly.coerce(other) - self
 
     def __mul__(self, other) -> "TPoly":
         other = TPoly.coerce(other)

@@ -163,6 +163,39 @@ def test_t_algorithm_matches_reference_loop(name, node):
     assert got == list(_reference_t_algorithm(alg, seed).items())
 
 
+B2_BENCH = [[2, -2], [-1, 2]]  # r = [1, 2]
+F4_BENCH = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+
+
+@pytest.mark.parametrize(
+    "matrix,seed",
+    [(B2_BENCH, {(2, 0): 1, (2, 1): 1}),
+     (B2_BENCH, {(1, 3): 1, (2, 0): 1, (2, 1): 1}),
+     (B2_BENCH, {(2, 0): 2, (2, 3): 1}),
+     (F4_BENCH, {(3, 0): 1})],
+)
+def test_t_algorithm_matches_reference_loop_across_residue_classes(matrix, seed):
+    """Lifts whose node-i exponents span more than one residue class mod r_i."""
+    alg = algebra(matrix)
+    seed = Monomial(seed)
+    got = list(t_algorithm(alg, seed).items())
+    assert got == list(_reference_t_algorithm(alg, seed).items())
+
+
+def test_lift_is_built_once_per_node_part(monkeypatch):
+    """lift_it runs once per (i, node-i exponents) of a call, not once per lift."""
+    calls = []
+
+    def lift_it(alg, i, m):
+        calls.append((i, m))
+        return screening.lift_it(alg, i, m)
+
+    monkeypatch.setattr(characters, "lift_it", lift_it)
+    _, blocks = t_algorithm(algebra("E6"), Monomial.y(4, 0), record_blocks=True)
+    keys = {(i, tuple(kv for kv in m.items() if kv[0][0] == i)) for i, m, _ in blocks}
+    assert len(calls) == len(keys) < len(blocks)
+
+
 def test_fundamental_shift(b2):
     f0 = fundamental(b2, 1, 0)
     f3 = fundamental(b2, 1, 3)

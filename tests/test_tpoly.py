@@ -18,6 +18,20 @@ def test_basic_arithmetic():
     assert (p * ZERO).is_zero()
 
 
+def test_sub_cancels_and_coerces_ints():
+    p = TPoly({0: 3, 2: -1})
+    assert p - p == ZERO
+    assert p - 3 == TPoly({2: -1})
+    assert 3 - p == TPoly({2: 1})
+    assert p.coeffs == {0: 3, 2: -1}  # the operand is left unchanged
+
+
+@given(tpolys, tpolys)
+def test_sub_is_add_of_negation(p, q):
+    d = p - q
+    assert d == p + (-q) and 0 not in d.coeffs.values()
+
+
 def test_adopt_takes_over_the_map_without_zeros():
     coeffs = {0: 1, 2: 0, -1: -3}
     p = TPoly.adopt(coeffs)
