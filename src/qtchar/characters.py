@@ -56,39 +56,31 @@ def _depth_bound_in_budget(alg: YtAlgebra, m: Monomial, budget: Budget) -> int:
     return bound
 
 
-def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGET,
-                record_blocks: bool = False):
+def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGET) -> YtElement:
     """Frontier computation of the deformed character with highest monomial m_plus.
 
     Monomials are processed in (A-depth, lexicographic) order, which extends
-    the partial order.  Each processed node-i-dominant monomial m with
-    nonzero leftover coefficient adds its lift to the accumulators: the
-    terms m A^-W of f_it, from the (W, coefficient) pairs of lift_it.
-    lift_it reads only the node-i exponents of m, so every m with the same
-    node-i part of m.data has the same pairs.  A memo that lives only for
-    this call holds them once per such part, in Y-delta form: per term the
-    Y-exponents of A^-W, sum W and the coefficient.  Each m then gets m A^-W
-    as m times the delta, and its A-depth as depth(m) + sum W, from the
-    entry alone.  The term W = {} is m itself, whose coefficient must be 1;
-    it is checked when the entry is built and left out.  A node where m has
-    no Y_i factor is skipped, the lift being m alone.  The accumulator maps
-    a monomial to {node: {t-exponent: integer}}, summed in place and made
-    into TPolys once, when the monomial is processed.  A non-dominant
-    monomial must receive the same value from every node that sees a
-    negative exponent, and disagreement aborts loudly.  An A-depth past the
-    bound of depth_bound aborts the run as inconsistent.  With record_blocks,
-    each lift is also returned in Y-form as (i, m, f_it(m)).
+    the partial order.  Each processed monomial m adds s(m) times the terms
+    of f_it(m) other than m, at every node i where m has a Y_i factor and is
+    i-dominant.  Those terms are never i-dominant, so nothing reaches m at
+    such a node, and every monomial but m_plus has a negative exponent.
+    lift_it reads only the node-i part of m.data (its keys name i), so a
+    memo that lives only for this call holds its result once per part; a
+    term is m times its Y-delta, at A-depth depth(m) + sum W.  Coefficients
+    are summed per monomial and node as integer maps {t-exponent: integer}
+    and made into TPolys once, when the monomial is processed.  A
+    non-dominant monomial must receive the same value from every node where
+    it has a negative exponent; disagreement aborts loudly, and so does an
+    A-depth past the bound of depth_bound.
     """
     if not m_plus.is_dominant():
         raise NotDominant(f"seed {m_plus} is not dominant")
     bound = _depth_bound_in_budget(alg, m_plus, budget)
     acc = {}  # monomial -> {node i: {t-exponent: integer coefficient}}
-    # node-i part of m.data (its keys name i) -> [(Y-delta of A^-W, sum W, coefficient items)]
-    lifts = {}
+    lifts = {}  # node-i part of m.data -> lift_it(alg, i, m)
     s = {}
     heap = [(0, m_plus.sortkey(), m_plus)]
     seen = {m_plus}
-    blocks = [] if record_blocks else None
     cap = budget.max_a_depth
     while heap:
         depth_m, _, m = heapq.heappop(heap)
@@ -102,7 +94,7 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
         if m == m_plus:
             sm = ONE
         elif not neg:
-            sm = ZERO
+            raise InternalInconsistency(f"{m} below the seed {m_plus} is dominant")
         else:
             vals = [si.get(i, ZERO) for i in sorted(neg)]
             for v in vals[1:]:
@@ -112,33 +104,20 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
                     )
             sm = vals[0]
         s[m] = sm
-        # a node where m has no Y_i factor has no part, its lift being m alone
+        sm_items = sm.coeffs.items()
+        if not sm_items:
+            continue
         for i, part in parts.items():
             if i in neg:
-                continue
-            mu_i = (sm - si.get(i, ZERO)).coeffs.items()
-            if not mu_i:
                 continue
             key = tuple(part)
             lift = lifts.get(key)
             if lift is None:
-                lift = []
-                for w, coeff in lift_it(alg, i, m):
-                    if not w:
-                        if coeff != ONE:
-                            raise InternalInconsistency(
-                                f"lift of {m} at node {i} has leading coefficient {coeff}"
-                            )
-                        continue
-                    lift.append((alg.a_monomial_expand(w), sum(w.values()),
-                                 tuple(coeff.coeffs.items())))
-                lifts[key] = lift
-            if record_blocks:
-                blocks.append((i, m, f_it(alg, i, m)))
+                lift = lifts[key] = lift_it(alg, i, m)
             for delta, depth_w, coeff in lift:
                 mr = m.times(delta)
                 d = acc.setdefault(mr, {}).setdefault(i, {})
-                for e1, c1 in mu_i:
+                for e1, c1 in sm_items:
                     for e2, c2 in coeff:
                         d[e1 + e2] = d.get(e1 + e2, 0) + c1 * c2
                 if mr not in seen:
@@ -155,10 +134,7 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
                     if cap is not None and depth > cap:
                         raise BudgetExceeded(f"A-depth {depth} exceeds budget {cap}")
                     heapq.heappush(heap, (depth, mr.sortkey(), mr))
-    result = YtElement(s)
-    if record_blocks:
-        return result, blocks
-    return result
+    return YtElement(s)
 
 
 # algebra -> {node i: fundamental character with highest monomial Y_{i,0}};
@@ -485,20 +461,31 @@ class CharacterTree:
 
 def character_tree(alg: YtAlgebra, m_plus: Monomial,
                    budget: Budget = DEFAULT_BUDGET) -> CharacterTree:
-    result, blocks = t_algorithm(alg, m_plus, budget, record_blocks=True)
+    """The character of m_plus with an edge m1 -> m2 colored (i, l) for m2 = m1 A_{i,l}^-1.
+
+    The blocks are the lifts f_it(m) for every monomial m of the character
+    and every node i where m has a Y_i factor and is i-dominant, in the
+    order of the character's terms and then of the nodes.  An edge
+    joins two monomials of the character in one node-i block whose
+    quotient is a single A_{i,l}^-1.
+    """
+    result = t_algorithm(alg, m_plus, budget)
     support = set(result.monomials())
     edges = {}
-    for i, _, f in blocks:
-        members = [mm for mm in f.monomials() if mm in support]
-        for m1 in members:
-            for m2 in members:
-                if m1 == m2:
-                    continue
-                v = alg.factor_over_A(m2, m1)
-                if v and sum(v.values()) == 1:
-                    [(key, _)] = v.items()
-                    if key[0] == i:
-                        edges[(m1, m2)] = key
+    for m in result.monomials():
+        for i in sorted({i for (i, _), _ in m.items()}):
+            if not m.is_dominant([i]):
+                continue
+            members = [mm for mm in f_it(alg, i, m).monomials() if mm in support]
+            for m1 in members:
+                for m2 in members:
+                    if m1 == m2:
+                        continue
+                    v = alg.factor_over_A(m2, m1)
+                    if v and sum(v.values()) == 1:
+                        [(key, _)] = v.items()
+                        if key[0] == i:
+                            edges[(m1, m2)] = key
     vertices = sorted(support, key=lambda m: m.sortkey())
     edge_list = sorted(
         ((src, dst, key) for (src, dst), key in edges.items()),

@@ -178,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--budget-depth", default=None,
                         help="optional cap on the A-depth (default: the exact bound)")
     common.add_argument("--format", choices=["json", "dot", "text"], default="json")
-    common.add_argument("--t1", action="store_true", help="specialize output at t = 1")
+    common.add_argument("--t1", action="store_true",
+                        help="specialize output at t = 1 (tchar json/text and product only)")
     parser = argparse.ArgumentParser(
         prog="qtchar",
         description="Exact q-characters and t-deformed q,t-characters.",
@@ -208,6 +209,9 @@ def main(argv=None) -> int:
     try:
         if args.format == "dot" and args.func is not cmd_tchar:
             raise ParseError(f"--format dot is only available for tchar, not {args.command}")
+        if args.t1 and (args.func in (cmd_kl, cmd_verify) or args.format == "dot"):
+            where = "--format dot" if args.format == "dot" else args.command
+            raise ParseError(f"--t1 has no effect on {where}")
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -8,9 +8,9 @@ being the unique kernel element whose only i-dominant monomial is m.
 from __future__ import annotations
 
 from .algebra import Monomial, YtAlgebra, YtElement
-from .errors import NotIDominant
+from .errors import InternalInconsistency, NotIDominant
 from .sl2 import _normalize_leading, sl2_algebra
-from .tpoly import ONE, TPoly
+from .tpoly import ONE, ZERO, TPoly
 
 
 class ScreeningVector:
@@ -162,7 +162,7 @@ def ft_sl2(alg: YtAlgebra, m: Monomial) -> list:
 
 
 def lift_it(alg: YtAlgebra, i: int, m: Monomial) -> list:
-    """The terms of f_it(m) in A-string form: (W, coefficient) per term m A^-W.
+    """The terms of f_it(m) other than m: (Y-delta, sum W, coefficient items) per m A^-W.
 
     m must be i-dominant.  The lift is the product over the residue shadows
     mk of m (its node-i exponents on the levels k mod r_i) of the rank-1
@@ -175,31 +175,33 @@ def lift_it(alg: YtAlgebra, i: int, m: Monomial) -> list:
     N(m, A^-W) = sum_l W_l (u_i(l + r_i) - u_i(l - r_i)) of each term equals
     the rank-1 N(mk, A^-v) and cancels.  Each term m A^-W therefore has
     coefficient prod lam, with no twisted product or bicharacter lookup.
-    The term W = {} is m itself.
+    The term W = {} is m itself; its coefficient must be 1, and it is left
+    out.  The rest are returned as the Y-exponents of A^-W (so the term is
+    m times them), the A-depth sum W, and the coefficient's (t-exponent,
+    integer) items.  The result depends only on the node-i exponents of m.
     """
     ri = alg.cartan.ri(i)
     s2 = sl2_algebra()
-    classes = [
-        [({(i, k + lv * ri): e for lv, e in v}, lam) for v, lam in ft_sl2(s2, mk)]
-        for k, mk in _residue_shadows(alg, i, m).items()
-    ]
-    terms = classes[0] if classes else [({}, ONE)]
-    for strings in classes[1:]:
+    terms = [({}, ONE)]
+    for k, mk in _residue_shadows(alg, i, m).items():
+        strings = [({(i, k + lv * ri): e for lv, e in v}, lam) for v, lam in ft_sl2(s2, mk)]
         terms = [({**w, **wk}, p * lam) for w, p in terms for wk, lam in strings]
-    return terms
+    lift, lead = [], ZERO
+    for w, p in terms:
+        if w:
+            lift.append((alg.a_monomial_expand(w), sum(w.values()), tuple(p.coeffs.items())))
+        else:
+            lead = p
+    if lead != ONE:
+        raise InternalInconsistency(f"lift of {m} at node {i} has leading coefficient {lead}")
+    return lift
 
 
 def f_it(alg: YtAlgebra, i: int, m: Monomial) -> YtElement:
-    """Kernel element with m as its unique i-dominant monomial.
-
-    The terms of lift_it in Y-form: m A^-W for each (W, coefficient).
-    """
+    """Kernel element with m as its unique i-dominant monomial: m plus the terms of lift_it."""
     _check_i_dominant(alg, i, m)
-    y = dict(m.data)
-    result = YtElement({alg.yv_exponents(y, w): p for w, p in lift_it(alg, i, m)})
-    if result.coeff(m) != ONE:
-        raise AssertionError(f"f_it leading coefficient on {m} is {result.coeff(m)}")
-    return result
+    terms = {m.times(delta): TPoly(dict(coeff)) for delta, _, coeff in lift_it(alg, i, m)}
+    return YtElement({m: ONE, **terms})
 
 
 def i_dominant_part(x: YtElement, i: int) -> dict:

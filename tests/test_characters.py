@@ -75,28 +75,39 @@ def test_depth_past_exact_bound_is_inconsistent(monkeypatch):
         t_algorithm(g2, Monomial.y(2, 0))
 
 
+def _lifted(alg, seed):
+    """(i, m) for each lift of the frontier loop: every monomial m of the
+    result and node i where m has a Y_i factor and is i-dominant."""
+    return [(i, m) for m in t_algorithm(alg, seed).monomials()
+            for i in sorted({i for (i, _), _ in m.items()}) if m.is_dominant([i])]
+
+
 @pytest.mark.parametrize("name,node", [("G2", 2), ("C3", 2), ("F4", 3)])
 def test_a_depth_is_additive_along_blocks(name, node):
     """Depth from the parent: depth(mr) = depth(m) + depth of mr below m."""
     alg = algebra(name)
     seed = Monomial.y(node, 0)
-    _, blocks = t_algorithm(alg, seed, record_blocks=True)
     depth = {}
-    for _, m, f in blocks:
+    for i, m in _lifted(alg, seed):
         if m not in depth:
             depth[m] = alg.a_depth(m, seed)
-        for mr in f.monomials():
+        for mr in f_it(alg, i, m).monomials():
             assert alg.a_depth(mr, seed) == depth[m] + alg.a_depth(mr, m), (m, mr)
 
 
 def test_lift_with_wrong_leading_coefficient_is_inconsistent(monkeypatch):
     """The term W = {} of every lift is m itself with coefficient 1."""
-    def lift_it(alg, i, m):
-        return [(w, p if w else TPoly.t_power(1)) for w, p in screening.lift_it(alg, i, m)]
+    real_ft_sl2 = screening.ft_sl2
 
-    monkeypatch.setattr(characters, "lift_it", lift_it)
+    def ft_sl2(alg, m):
+        return [(v, lam if v else TPoly.t_power(1)) for v, lam in real_ft_sl2(alg, m)]
+
+    monkeypatch.setattr(screening, "ft_sl2", ft_sl2)
+    a2 = algebra("A2")
     with pytest.raises(InternalInconsistency):
-        t_algorithm(algebra("A2"), Monomial.y(1, 0))
+        t_algorithm(a2, Monomial.y(1, 0))
+    with pytest.raises(InternalInconsistency):
+        f_it(a2, 1, Monomial.y(1, 0))
 
 
 A1_A2 = [[2, 0, 0], [0, 2, -1], [0, -1, 2]]
@@ -191,9 +202,9 @@ def test_lift_is_built_once_per_node_part(monkeypatch):
         return screening.lift_it(alg, i, m)
 
     monkeypatch.setattr(characters, "lift_it", lift_it)
-    _, blocks = t_algorithm(algebra("E6"), Monomial.y(4, 0), record_blocks=True)
-    keys = {(i, tuple(kv for kv in m.items() if kv[0][0] == i)) for i, m, _ in blocks}
-    assert len(calls) == len(keys) < len(blocks)
+    lifted = _lifted(algebra("E6"), Monomial.y(4, 0))
+    keys = {(i, tuple(kv for kv in m.items() if kv[0][0] == i)) for i, m in lifted}
+    assert len(calls) == len(keys) < len(lifted)
 
 
 def test_fundamental_shift(b2):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from qtchar import cartan
 from qtchar.cli import main
 from qtchar.grammar import parse_element
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, *argv):
@@ -43,6 +46,17 @@ def test_tchar_dot_output(capsys):
     assert code == 0
     assert out.startswith("digraph")
     assert 'label="1,1"' in out and 'label="2,2"' in out
+
+
+@pytest.mark.parametrize(
+    "cartan,seed,golden",
+    [("G2", "Y[2,0]", "g2_y20.dot"),
+     ('{"matrix": [[2, -2], [-1, 2]]}', "Y[2,0] Y[2,1]", "b2_y20_y21.dot")],
+)
+def test_tchar_dot_output_is_pinned(capsys, cartan, seed, golden):
+    code, out, _ = run(capsys, "tchar", "--cartan", cartan, "--format", "dot", seed)
+    assert code == 0
+    assert out == (DATA / golden).read_text(encoding="utf-8")
 
 
 def test_kl_example(capsys):
@@ -105,13 +119,17 @@ def test_bad_cartan_and_budget_exit_2(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["kl", "--cartan", "B2", "Y[2,0] Y[1,5]"],
-        ["product", "X[1,0]", "X[1,2]"],
-        ["verify", "involution"],
+        ["kl", "--format", "dot", "--cartan", "B2", "Y[2,0] Y[1,5]"],
+        ["product", "--format", "dot", "X[1,0]", "X[1,2]"],
+        ["verify", "--format", "dot", "involution"],
+        ["kl", "--t1", "--cartan", "B2", "Y[2,0] Y[1,5]"],
+        ["verify", "--t1", "involution"],
+        ["tchar", "--t1", "--format", "dot", "Y[1,0]"],
     ],
 )
 def test_dot_format_only_for_tchar(capsys, argv):
-    code, out, err = run(capsys, *argv[:1], "--format", "dot", *argv[1:])
+    """--format dot outside tchar, and --t1 where it would change nothing, are parse errors."""
+    code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("parse error")
 

@@ -159,6 +159,7 @@ def test_f_it_matches_twisted_product(name):
         for _ in range(8):
             m = _random_i_dominant(alg, i, rng)
             assert f_it(alg, i, m) == _f_it_by_mul(alg, i, m), (i, m)
+            assert i_dominant_part(f_it(alg, i, m), i) == {m: ONE}, (i, m)
 
 
 def test_ft_sl2_rejects_higher_rank_and_leaves_table_unchanged():
