@@ -430,11 +430,7 @@ class YtAlgebra:
 
     def a_monomial_expand(self, v: dict) -> Monomial:
         """Y-exponent map of prod A_{i,l}^-v_{i,l}."""
-        return self.yv_exponents({}, v)
-
-    def yv_exponents(self, y: dict, v: dict) -> Monomial:
-        """Y-exponent map of prod Y^y * prod A_{i,l}^-v_{i,l}."""
-        d = dict(y)
+        d = {}
         for (i, l), e in v.items():
             for j, dl, de in self._a_inv[i]:
                 key = (j, l + dl)

@@ -17,7 +17,6 @@ from .errors import (
     NotDominant,
 )
 from .screening import f_it, lift_it
-from .sl2 import _normalize_leading
 from .tpoly import ONE, TPoly, ZERO
 
 
@@ -181,7 +180,12 @@ def e_t(alg: YtAlgebra, m: Monomial, budget: Budget = DEFAULT_BUDGET) -> YtEleme
 
 def e_t_normalized(alg: YtAlgebra, m: Monomial, budget: Budget = DEFAULT_BUDGET) -> YtElement:
     """e_t rescaled so the coefficient of m is exactly 1."""
-    return _normalize_leading(e_t(alg, m, budget), m)
+    e = e_t(alg, m, budget)
+    lead = e.coeff(m)
+    sp = lead.single_power()
+    if sp is None or sp[1] != 1:
+        raise InternalInconsistency(f"leading coefficient on {m} is {lead}, not a t-power")
+    return e.scale(TPoly.t_power(-sp[0]))
 
 
 def dominant_product(alg: YtAlgebra, keys, budget: Budget = DEFAULT_BUDGET) -> YtElement:

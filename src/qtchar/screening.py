@@ -3,13 +3,16 @@
 s_it maps an element to a vector over the canonical screening-current
 window; the kernel elements e_it and f_it generate the node-i kernel, f_it
 being the unique kernel element whose only i-dominant monomial is m.
+ft_sl2 holds the rank-1 f_it in A-string form, built from the segment
+strings with the local twist and no twisted product; lift_it lifts it to
+node i with the same local twist.
 """
 
 from __future__ import annotations
 
 from .algebra import Monomial, YtAlgebra, YtElement
 from .errors import InternalInconsistency, NotIDominant
-from .sl2 import _normalize_leading, sl2_algebra
+from .sl2 import decompose_segments, sl2_algebra
 from .tpoly import ONE, ZERO, TPoly
 
 
@@ -128,6 +131,26 @@ def _residue_shadows(alg: YtAlgebra, i: int, m: Monomial):
     return {k: Monomial.from_sorted(tuple(s)) for k, s in shadows.items()}
 
 
+def _n_y_a(y: dict, v) -> int:
+    """Rank-1 N(Y^y, A^-v), v as (level, exponent) pairs.  C(z) C~(z) = I makes
+    N(Y_k, A_l^-1) +1 at k = l + 1, -1 at k = l - 1 and 0 elsewhere; N is antisymmetric."""
+    return sum(e * (y.get(l + 1, 0) - y.get(l - 1, 0)) for l, e in v)
+
+
+def _n_a_a(w: dict, v) -> int:
+    """Rank-1 N(A^-w, A^-v), v as (level, exponent) pairs: N(A_k^-1, A_l^-1) is
+    +1 at k = l - 2, -1 at k = l + 2 and 0 elsewhere."""
+    return sum(e * (w.get(l - 2, 0) - w.get(l + 2, 0)) for l, e in v)
+
+
+def _plus(w: tuple, v: tuple) -> tuple:
+    """The sum of two A-exponent maps given as (level, exponent) pairs, as sorted pairs."""
+    d = dict(w)
+    for l, e in v:
+        d[l] = d.get(l, 0) + e
+    return tuple(sorted(d.items()))
+
+
 # dominant rank-1 monomial -> its deformed character in A-string form: one
 # (v, lam) per term lam * m A^-v, v a tuple of (level, exponent).  Every
 # rank-1 algebra has the Cartan matrix [[2]], so one table serves them all,
@@ -138,25 +161,59 @@ _FT_SL2 = {}
 def ft_sl2(alg: YtAlgebra, m: Monomial) -> list:
     """Rank-1 deformed character with m as unique dominant monomial, as A-strings.
 
-    alg must have rank 1.  E_t(m), normalized to leading coefficient 1, is in
-    the kernel; subtracting lam * f_it(mu) for each lower dominant term
-    lam * mu leaves m as its only dominant monomial.  The f_it(mu) come from
-    this table, so the triangular subtraction recurses through it.
+    alg must have rank 1.  A segment s = [a, top] of m has the character
+    sum_j s A^-v_j, j = 0 .. count, with v_j the A^-1 at top + 1, top - 1,
+    ..., top + 3 - 2j and every coefficient 1 (the t^j of a string cancels
+    the t^(1-j) among its own factors and the t^-1 against s).  The product
+    of the segment characters of decompose_segments(m), in that order and
+    with leading coefficient 1, is in the kernel.  Its twist is local: if y
+    is the product of the segments before s, the term y A^-w times s A^-v_j
+    gets t^n, n = N(y, A^-v_j) - N(s, A^-w) + N(A^-w, A^-v_j), once the
+    N(y, s) common to all terms is normalized away.  Subtracting lam times
+    the entry of mu = m A^-w, shifted by w, for each lower dominant term
+    lam * mu leaves m as the only dominant monomial; a regular m has no such
+    term.  Those entries come from this table, so the subtraction recurses
+    through it.
     """
     if alg.cartan.n != 1:
         raise ValueError("ft_sl2 needs a rank-1 algebra")
     strings = _FT_SL2.get(m)
     if strings is None:
-        out = _normalize_leading(e_it(alg, 1, m), m)  # a new element: subtract in place
-        for mu, lam in out.dominant_part().items():
-            if mu != m:
-                out.add_scaled(f_it(alg, 1, mu), -lam)
-        strings = []
-        for mu, lam in out.items():
-            v = alg.factor_over_A(mu, m)
-            if v is None:
-                raise NotIDominant(f"rank-1 character term {mu} does not factor over {m}")
-            strings.append((tuple((lv, e) for (_, lv), e in v.items()), lam))
+        _check_i_dominant(alg, 1, m)
+        terms = {(): {0: 1}}  # w as sorted (level, exponent) pairs -> {t-exponent: integer}
+        y = {}  # level -> exponent of the segments combined so far
+        for seg in decompose_segments(m):
+            s = {l: 1 for l in seg.levels()}
+            top = seg.top
+            v_js = [tuple((l, 1) for l in range(top + 3 - 2 * j, top + 2, 2))
+                    for j in range(seg.count + 1)]
+            out = {}
+            for w, p in terms.items():
+                wd = dict(w)
+                n0 = -_n_y_a(s, w)
+                for v in v_js:
+                    n = n0 + _n_y_a(y, v) + _n_a_a(wd, v)
+                    d = out.setdefault(_plus(w, v), {})
+                    for e, c in p.items():
+                        d[e + n] = d.get(e + n, 0) + c
+            terms = out
+            for l in s:
+                y[l] = y.get(l, 0) + 1
+        for w, p in list(terms.items()):  # subtraction adds no dominant term
+            u = dict(y)  # m A^-w, as A_l^-1 = Y_{l-1}^-1 Y_{l+1}^-1
+            for l, e in w:
+                u[l - 1] = u.get(l - 1, 0) - e
+                u[l + 1] = u.get(l + 1, 0) - e
+            if not w or min(u.values()) < 0:
+                continue
+            mu = Monomial.from_sorted(tuple(((1, l), e) for l, e in sorted(u.items()) if e))
+            p = list(p.items())  # its own entry's v = () cancels it
+            for v, lam in ft_sl2(alg, mu):
+                d = terms.setdefault(_plus(w, v), {})
+                for e1, c1 in p:
+                    for e2, c2 in lam.coeffs.items():
+                        d[e1 + e2] = d.get(e1 + e2, 0) - c1 * c2
+        strings = [(w, lam) for w, p in terms.items() if (lam := TPoly.adopt(p))]
         _FT_SL2[m] = strings
     return strings
 

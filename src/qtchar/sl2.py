@@ -2,16 +2,18 @@
 
 Dominant rank-1 monomials decompose uniquely into 2-segments (arithmetic
 progressions of step 2); the deformed character of a segment has an explicit
-descending A^-1-string expansion.  The general rank-1 deformed character is
-built by triangular subtraction in screening.ft_sl2; this module keeps the
-shared rank-1 algebra and the leading-coefficient normalization it uses.
+descending A^-1-string expansion.  screening.ft_sl2 builds every rank-1
+deformed character from these strings, combined with the local twist, in
+A-string form; ft_segment is the same segment character as a twisted
+product, kept as a reference.  This module also keeps the shared rank-1
+algebra.
 """
 
 from __future__ import annotations
 
 from .algebra import Monomial, YtAlgebra, YtElement
 from .cartan import validate_cartan
-from .errors import InternalInconsistency, NotDominant
+from .errors import NotDominant
 from .tpoly import TPoly
 
 _SL2 = None
@@ -148,10 +150,3 @@ def ft_segment(alg: YtAlgebra, seg: Segment) -> YtElement:
         bracket.add_scaled(string, TPoly.t_power(j))
     return alg.mul(m_elem, bracket)
 
-
-def _normalize_leading(elem: YtElement, m: Monomial) -> YtElement:
-    lead = elem.coeff(m)
-    sp = lead.single_power()
-    if sp is None or sp[1] != 1:
-        raise InternalInconsistency(f"leading coefficient on {m} is {lead}, not a t-power")
-    return elem.scale(TPoly.t_power(-sp[0]))

@@ -203,8 +203,8 @@ def test_criterion_8_y_part_reduction_on_a2():
     for _ in range(30):
         y1, v1 = _random_yv(rng, [1, 2])
         y2, v2 = _random_yv(rng, [1, 2])
-        m1 = a2.yv_exponents(y1, v1)
-        m2 = a2.yv_exponents(y2, v2)
+        m1 = Monomial(y1).times(a2.a_monomial_expand(v1))
+        m2 = Monomial(y2).times(a2.a_monomial_expand(v2))
         want = a2.nt_bichar(Monomial(y1), Monomial(y2)) + 2 * a2.d_bicharacter(
             y1, v1, y2, v2
         )

@@ -72,11 +72,11 @@ def test_a_monomial_expand_is_product_of_a_inverses(name):
         assert alg.a_monomial_expand(v) == want
 
 
-def test_yv_exponents_cancels_to_sorted_data(a2):
-    y = {(1, 1): 1, (2, 0): 2}
-    v = {(1, 2): 1}  # A_{1,2}^-1 = Y[1,1]^-1 Y[1,3]^-1 Y[2,2]
-    got = a2.yv_exponents(y, v)
-    want = Monomial({(1, 3): -1, (2, 0): 2, (2, 2): 1})
+def test_a_monomial_expand_cancels_to_sorted_data(a2):
+    # A_{1,2}^-1 = Y[1,1]^-1 Y[1,3]^-1 Y[2,2]; A_{2,1}^-1 = Y[1,1] Y[2,0]^-1 Y[2,2]^-1
+    v = {(1, 2): 1, (2, 1): 1}
+    got = a2.a_monomial_expand(v)
+    want = Monomial({(1, 3): -1, (2, 0): -1})
     assert got == want and got.data == want.data and hash(got) == hash(want)
 
 

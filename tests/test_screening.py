@@ -1,9 +1,10 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
 from qtchar import algebra, screening
-from qtchar.algebra import Monomial, YtElement
+from qtchar.algebra import Monomial, YtAlgebra, YtElement
 from qtchar.errors import NotIDominant
 from qtchar.screening import (
     e_it,
@@ -14,7 +15,7 @@ from qtchar.screening import (
     in_kernel_all,
     s_it,
 )
-from qtchar.sl2 import sl2_algebra
+from qtchar.sl2 import is_irregular, sl2_algebra
 from qtchar.suites import KERNEL_TYPES
 from qtchar.tpoly import ONE, ZERO, TPoly
 
@@ -198,3 +199,100 @@ def test_a_strings_of_different_residues_commute_untwisted(name):
             if k % ri:
                 n = alg.bichar_n(alg.a_expand_inv(i, k), alg.a_expand_inv(i, 0))
                 assert n == 0, (i, k)
+
+
+# ---------------------------------------------------------------------------
+# the rank-1 table against the triangular subtraction from E_t it replaces
+# ---------------------------------------------------------------------------
+
+
+def _reference_character(s2, m, memo):
+    """E_t(m) = e_it with leading coefficient 1, minus lam times the reference
+    character of each lower dominant term lam * mu."""
+    if m not in memo:
+        e = e_it(s2, 1, m)
+        power, coeff = e.coeff(m).single_power()
+        assert coeff == 1
+        out = e.scale(TPoly.t_power(-power))
+        for mu, lam in out.dominant_part().items():
+            if mu != m:
+                out.add_scaled(_reference_character(s2, mu, memo), -lam)
+        memo[m] = out
+    return memo[m]
+
+
+def _reference_strings(s2, m, memo):
+    """The reference character of m as a map v -> coefficient, per term m A^-v."""
+    return {
+        tuple(sorted((l, e) for (_, l), e in s2.factor_over_A(mu, m).items())): lam
+        for mu, lam in _reference_character(s2, m, memo).items()
+    }
+
+
+def _levels_monomial(levels):
+    d = {}
+    for l in levels:
+        d[(1, l)] = d.get((1, l), 0) + 1
+    return Monomial(d)
+
+
+def test_ft_sl2_matches_triangular_subtraction_from_e_t():
+    """Every dominant rank-1 monomial of degree <= 4 on levels 0..8, and Y^u for u <= 12."""
+    s2 = sl2_algebra()
+    memo = {}
+    tops = [_levels_monomial(levels) for degree in range(1, 5)
+            for levels in combinations_with_replacement(range(9), degree)]
+    tops += [Monomial.y(1, 0, u) for u in range(5, 13)]
+    for m in tops:
+        assert dict(ft_sl2(s2, m)) == _reference_strings(s2, m, memo), m
+
+
+def test_ft_sl2_twist_rules_are_the_bicharacter():
+    """The local rules that combine the segment strings agree with N, and N is antisymmetric."""
+    s2 = sl2_algebra()
+    for k in range(-6, 7):
+        y_k, a_k = Monomial.y(1, k), s2.a_expand_inv(1, k)
+        for l in range(-6, 7):
+            a_l = s2.a_expand_inv(1, l)
+            assert screening._n_y_a({k: 1}, ((l, 1),)) == s2.bichar_n(y_k, a_l), (k, l)
+            assert screening._n_a_a({k: 1}, ((l, 1),)) == s2.bichar_n(a_k, a_l), (k, l)
+            assert s2.bichar_n(a_l, y_k) == -s2.bichar_n(y_k, a_l), (k, l)
+    rng = random.Random("ft_sl2 twist")
+    for _ in range(20):
+        y = {l: rng.randint(-2, 3) for l in rng.sample(range(-4, 5), 3)}
+        w = {l: rng.randint(1, 3) for l in rng.sample(range(-4, 5), 3)}
+        v = {l: rng.randint(1, 3) for l in rng.sample(range(-4, 5), 3)}
+        a_v = s2.a_monomial_expand({(1, l): e for l, e in v.items()})
+        a_w = s2.a_monomial_expand({(1, l): e for l, e in w.items()})
+        y_m = Monomial({(1, l): e for l, e in y.items()})
+        assert screening._n_y_a(y, v.items()) == s2.bichar_n(y_m, a_v)
+        assert screening._n_a_a(w, v.items()) == s2.bichar_n(a_w, a_v)
+
+
+def test_ft_sl2_builds_without_twisted_product(monkeypatch):
+    """A fresh entry, and the lower entries it recurses into, come from the
+    segment strings alone: no e_it, f_it, twisted mul or factor_over_A."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the rank-1 table build reached a twisted-product path")
+
+    monkeypatch.setattr(screening, "_FT_SL2", {})
+    monkeypatch.setattr(screening, "e_it", forbidden)
+    monkeypatch.setattr(screening, "f_it", forbidden)
+    monkeypatch.setattr(YtAlgebra, "mul", forbidden)
+    monkeypatch.setattr(YtAlgebra, "factor_over_A", forbidden)
+    s2 = sl2_algebra()
+    m = Monomial({(1, 1001): 2, (1, 1003): 1})
+    assert is_irregular(m)
+    got = dict(ft_sl2(s2, m))
+    assert Monomial.y(1, 1001) in screening._FT_SL2  # the lower entry was built too
+    assert got == {
+        (): ONE,
+        ((1004, 1),): ONE,
+        ((1002, 1), (1004, 1)): TPoly({-1: 1, 1: 1}),
+        ((1002, 2),): -ONE,
+        ((1002, 2), (1004, 1)): ONE,
+    }
+    with pytest.raises(NotIDominant):
+        ft_sl2(s2, Monomial({(1, 0): 1, (1, 2): -1}))
+    assert Monomial({(1, 0): 1, (1, 2): -1}) not in screening._FT_SL2

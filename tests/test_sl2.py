@@ -8,7 +8,6 @@ from qtchar.errors import NotDominant
 from qtchar.screening import e_it, f_it
 from qtchar.sl2 import (
     Segment,
-    _normalize_leading,
     classic_L,
     decompose_segments,
     ft_segment,
@@ -115,9 +114,10 @@ def test_ft_segment_is_f_it_at_t_level():
 
 
 def test_et_leading_coefficient_is_one():
+    """The leading coefficient of E_t(m) is a single t-power, so it normalizes to 1."""
     s2 = sl2_algebra()
     for m in [mono(0, 2), mono(0, 0), mono(0, 4, 6)]:
-        assert _normalize_leading(e_it(s2, 1, m), m).coeff(m) == ONE
+        assert e_it(s2, 1, m).coeff(m).single_power()[1] == 1
 
 
 def test_ft_sl2_unique_dominant_and_t1():
