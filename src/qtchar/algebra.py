@@ -82,9 +82,6 @@ class Monomial:
     def power(self, n: int) -> "Monomial":
         return Monomial({k: n * e for k, e in self.data})
 
-    def inverse(self) -> "Monomial":
-        return self.power(-1)
-
     def shift(self, dl: int) -> "Monomial":
         return Monomial({(i, l + dl): e for (i, l), e in self.data})
 

@@ -367,20 +367,19 @@ def star_product(alg: YtAlgebra, x: RepElement, y: RepElement,
 # ---------------------------------------------------------------------------
 
 
-def _dominant_closure(alg: YtAlgebra, m: Monomial, budget: Budget):
-    """All dominant monomials reachable through iterated E_t expansions."""
-    e_cache = {}
+def _dominant_closure(alg: YtAlgebra, m: Monomial, budget: Budget) -> set:
+    """The dominant monomials reachable from m through iterated E_t expansions, each
+    member held to _depth_bound_in_budget and expanded by dominant_product alone."""
     queue = [m]
     seen = {m}
     while queue:
         mu = queue.pop()
-        e = e_t_normalized(alg, mu, budget)
-        e_cache[mu] = e
-        for nu in e.dominant_part():
+        _depth_bound_in_budget(alg, mu, budget)
+        for nu in dominant_product(alg, _fundamental_order(mu), budget).monomials():
             if nu not in seen:
                 seen.add(nu)
                 queue.append(nu)
-    return e_cache
+    return seen
 
 
 def lt_and_kl(alg: YtAlgebra, m: Monomial, budget: Budget = DEFAULT_BUDGET):
@@ -390,12 +389,13 @@ def lt_and_kl(alg: YtAlgebra, m: Monomial, budget: Budget = DEFAULT_BUDGET):
     bar-invariant representative of the lower dominant monomial mu is
     t^shift * mu, and P is the KL-analogue polynomial in t^-1 Z[t^-1];
     lt maps each dominant monomial to its (representative-normalized)
-    canonical element.
+    canonical element.  The closure comes from dominant parts; each full
+    normalized E_t(mu) is formed only for mu's own closure check, before
+    t_algorithm(mu), and dropped after it, so one full E_t is alive at a time.
     """
     if not m.is_dominant():
         raise NotDominant(f"{m} is not dominant")
-    e_cache = _dominant_closure(alg, m, budget)
-    doms = list(e_cache)
+    doms = _dominant_closure(alg, m, budget)
     depth = {mu: alg.a_depth(mu, m) for mu in doms}
     if any(d is None for d in depth.values()):
         raise InternalInconsistency("dominant closure left the cone below m")
@@ -404,8 +404,9 @@ def lt_and_kl(alg: YtAlgebra, m: Monomial, budget: Budget = DEFAULT_BUDGET):
     lhat = {}
     kl_for = {}
     for mu in order:
+        residual = e_t_normalized(alg, mu, budget)
         fhat = t_algorithm(alg, mu, budget)
-        residual = e_cache[mu] - fhat
+        residual.add_scaled(fhat, -1)
         lowers = sorted(
             (nu for nu in doms if nu != mu and depth[nu] > depth[mu] and alg.leq(nu, mu)),
             key=lambda nu: (depth[nu], nu.sortkey()),
@@ -426,13 +427,11 @@ def lt_and_kl(alg: YtAlgebra, m: Monomial, budget: Budget = DEFAULT_BUDGET):
             rows.append((nu, c, p))
             lsum.add_scaled(lhat[nu], beta * TPoly.t_power(c))
         if not residual.is_zero():
-            raise InternalInconsistency(
-                f"E_t({mu}) did not close over the canonical basis"
-            )
+            raise InternalInconsistency(f"E_t({mu}) did not close over the canonical basis")
+        del residual  # so that it is gone before the next member's E_t is formed
         lhat[mu] = lsum
         kl_for[mu] = rows
-    shift = {mu: (nn[mu] - nn[m]) // 2 for mu in doms}
-    lt = {mu: lhat[mu].scale(TPoly.t_power(shift[mu])) for mu in doms}
+    lt = {mu: lhat[mu].scale(TPoly.t_power((nn[mu] - nn[m]) // 2)) for mu in order}
     return kl_for[m], lt
 
 

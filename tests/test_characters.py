@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from qtchar import algebra, characters, screening
-from qtchar.algebra import Monomial, YtElement
+from qtchar.algebra import Monomial, YtAlgebra, YtElement
 from qtchar.characters import (
     _FUNDAMENTALS,
     Budget,
@@ -25,6 +25,7 @@ from qtchar.characters import (
     t_algorithm,
 )
 from qtchar.errors import BudgetExceeded, InternalInconsistency, InversionFails, NotDominant
+from qtchar.grammar import parse_basis_monomial
 from qtchar.screening import e_it, f_it, ft_sl2
 from qtchar.sl2 import sl2_algebra
 from qtchar.suites import KERNEL_TYPES
@@ -389,6 +390,80 @@ def test_star_product_shadow_is_commutative_product(a2):
         assert sp_p and sp_q and sp_p[1] == sp_q[1]
         ratio.add(sp_p[0] - sp_q[0])
     assert len(ratio) == 1
+
+
+def _reference_closure(alg, m):
+    """The dominant closure of m read off full products, e_t(mu).dominant_part()."""
+    queue, seen = [m], {m}
+    while queue:
+        for nu in e_t(alg, queue.pop()).dominant_part():
+            if nu not in seen:
+                seen.add(nu)
+                queue.append(nu)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "cartan,seed",
+    [(B2_BENCH, "Y[2,0] Y[1,5] Y[2,4]"),
+     (B2_BENCH, "Y[2,0] Y[1,5] Y[2,4] Y[1,1] Y[2,8]"),
+     ("A3", "Y[1,1] Y[2,0] Y[2,2] Y[2,4] Y[3,3]"),
+     ("A2", "Y[1,0] Y[1,2] Y[1,4] Y[2,1] Y[2,3] Y[2,5]"),
+     ("G2", "Y[2,0] Y[2,1]")],
+)
+def test_dominant_closure_forms_no_full_product(monkeypatch, cartan, seed):
+    """The closure from dominant_product equals the one read off full E_t's,
+    and taking it forms no twisted product and no E_t."""
+    alg = algebra(cartan)
+    m = parse_basis_monomial(seed)
+    want = _reference_closure(alg, m)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a full product was formed")
+
+    monkeypatch.setattr(YtAlgebra, "mul", refuse)
+    monkeypatch.setattr(characters, "e_t", refuse)
+    assert characters._dominant_closure(alg, m, Budget()) == want
+
+
+def test_lt_and_kl_forms_each_e_t_once_before_its_t_algorithm(monkeypatch, b2):
+    """One e_t_normalized per closure member, each just before that member's
+    t_algorithm."""
+    m = parse_basis_monomial("Y[2,0] Y[1,5] Y[2,4]")
+    lt_and_kl(b2, m)  # warm the fundamentals, so t_algorithm runs only for members
+    events = []
+    real_e_t, real_t = characters.e_t_normalized, characters.t_algorithm
+
+    def e_t_normalized(alg, mu, budget):
+        events.append(("E_t", mu))
+        return real_e_t(alg, mu, budget)
+
+    def t_algorithm(alg, mu, budget):
+        events.append(("t", mu))
+        return real_t(alg, mu, budget)
+
+    monkeypatch.setattr(characters, "e_t_normalized", e_t_normalized)
+    monkeypatch.setattr(characters, "t_algorithm", t_algorithm)
+    _, lt = lt_and_kl(b2, m)
+    members = [mu for _, mu in events[0::2]]
+    assert len(members) == len(set(members)) == len(lt) > 1
+    assert set(members) == characters._dominant_closure(b2, m, Budget())
+    assert events == [(kind, mu) for mu in members for kind in ("E_t", "t")]
+
+
+def test_lt_and_kl_closure_check_is_live(monkeypatch, b2):
+    """A closure that misses a lower member fails the full closure check."""
+    closure = characters._dominant_closure
+    dropped = Monomial.y(1, 1)
+
+    def short_closure(alg, m, budget):
+        members = closure(alg, m, budget)
+        assert dropped in members
+        return members - {dropped}
+
+    monkeypatch.setattr(characters, "_dominant_closure", short_closure)
+    with pytest.raises(InternalInconsistency, match="did not close over the canonical basis"):
+        lt_and_kl(b2, Monomial({(2, 0): 1, (1, 5): 1}))
 
 
 def test_kl_simplest_nontrivial_pair(sl2):

@@ -209,6 +209,20 @@ def test_e_t_running_size_exit_4(capsys):
     assert len(err.splitlines()) == 1 and "reached 2745 monomials, more than 300" in err
 
 
+def test_kl_lower_member_e_t_size_exit_4(capsys):
+    """Each closure member's E_t is formed deepest first, for its own closure
+    check, so under a tight budget the one error line can name a lower
+    member's E_t; with room for every E_t the row is computed."""
+    seed = "Y[2,0] Y[1,5] Y[2,4]"
+    code, out, err = run(capsys, "kl", "--cartan", "B2", "--budget-monomials", "40", seed)
+    assert code == 4 and out == ""
+    assert len(err.splitlines()) == 1
+    assert "E_t(Y[1,1] Y[1,3] Y[1,5]) reached 60 monomials, more than 40" in err
+    code, out, err = run(capsys, "kl", "--cartan", "B2", "--budget-monomials", "100", seed)
+    assert code == 0 and err == ""
+    assert json.loads(out)
+
+
 def test_product_below_e_t_size_exit_0(capsys):
     """The product forms no E_t, so a budget below E_t(Y[2,0] Y[2,1] Y[2,2] Y[2,3])'s
     2745 monomials does not stop it.  Both sides are in E_t's level order, so
