@@ -11,19 +11,15 @@ from .cartan import (
 )
 from .characters import (
     Budget,
-    CharacterTree,
     RepElement,
     character_tree,
     chi_qt,
     chi_qt_inverse,
-    decomposition_t1,
     dominant_product,
     e_t,
     e_t_normalized,
     fundamental,
     lt_and_kl,
-    positivity_report,
-    q_char,
     star_product,
     t_algorithm,
 )
@@ -43,7 +39,7 @@ from .errors import (
     ParseError,
     QtcharError,
 )
-from .screening import ScreeningVector, e_it, f_it, ft_sl2, in_kernel, in_kernel_all, s_it
+from .screening import e_it, f_it, ft_sl2, in_kernel, in_kernel_all, s_it
 from .sl2 import (
     Segment,
     classic_L,

@@ -97,9 +97,6 @@ class Monomial:
     def degree(self) -> int:
         return sum(e for _, e in self.data)
 
-    def is_unit(self) -> bool:
-        return not self.data
-
     def is_dominant(self, nodes=None) -> bool:
         if nodes is None:
             return all(e >= 0 for _, e in self.data)
@@ -392,13 +389,6 @@ class YtAlgebra:
                 psi[(i, l - ri)] = psi.get((i, l - ri), 0) - e
             right.append((m2, g, [kc for kc in psi.items() if kc[1]], p2.coeffs.items()))
         return refs, right
-
-    def word_product(self, word) -> YtElement:
-        """Product of Y-generators (i, l, e) taken left to right."""
-        acc = YtElement.unit()
-        for i, l, e in word:
-            acc = self.mul(acc, YtElement.from_monomial(Monomial.y(i, l, e)))
-        return acc
 
     # -- the A variables ------------------------------------------------
 

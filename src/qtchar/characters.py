@@ -262,15 +262,6 @@ class RepElement(Terms):
                     raise ValueError(f"Rep-monomial {m} has a negative exponent")
         super().__init__(terms)
 
-    def mul_commutative(self, other) -> "RepElement":
-        """Ordinary commutative product (the t=1 shadow of *)."""
-        d = {}
-        for m1, p1 in self.terms.items():
-            for m2, p2 in other.terms.items():
-                key = m1.times(m2)
-                d[key] = d.get(key, ZERO) + p1 * p2
-        return RepElement(d)
-
     def __repr__(self):
         # imported here so that `import qtchar` does not bind `qtchar.grammar`
         from .grammar import format_rep_monomial
@@ -287,11 +278,6 @@ def chi_qt(alg: YtAlgebra, x: RepElement, budget: Budget = DEFAULT_BUDGET) -> Yt
     for m, p in x.items():
         out.add_scaled(e_t(alg, m, budget), p)
     return out
-
-
-def q_char(alg: YtAlgebra, x: RepElement, budget: Budget = DEFAULT_BUDGET) -> dict:
-    """Classical character: chi_qt specialized at t = 1."""
-    return chi_qt(alg, x, budget).at_one()
 
 
 def _peel(alg: YtAlgebra, rest: YtElement, budget: Budget) -> RepElement:
@@ -435,42 +421,21 @@ def lt_and_kl(alg: YtAlgebra, m: Monomial, budget: Budget = DEFAULT_BUDGET):
     return kl_for[m], lt
 
 
-def decomposition_t1(alg: YtAlgebra, m: Monomial, budget: Budget = DEFAULT_BUDGET):
-    """Putative classical multiplicities: all P evaluated at t = 1."""
-    kl, _ = lt_and_kl(alg, m, budget)
-    return [(nu, p.at_one()) for nu, _, p in kl]
-
-
-def positivity_report(alg: YtAlgebra, i: int, budget: Budget = DEFAULT_BUDGET):
-    """Scan fundamental(i, 0) for negative coefficients."""
-    f = fundamental(alg, i, 0, budget)
-    offending = [(m, p) for m, p in f.items() if not p.nonnegative()]
-    return {"node": i, "positive": not offending, "offending": offending}
-
-
 # ---------------------------------------------------------------------------
 # character trees
 # ---------------------------------------------------------------------------
 
 
-class CharacterTree:
-    """Colored-edge view of a deformed character, mirroring the usual figures."""
-
-    def __init__(self, root: Monomial, vertices, edges):
-        self.root = root
-        self.vertices = vertices  # list of Monomial
-        self.edges = edges  # list of (src, dst, (i, l))
-
-
-def character_tree(alg: YtAlgebra, m_plus: Monomial,
-                   budget: Budget = DEFAULT_BUDGET) -> CharacterTree:
+def character_tree(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGET) -> tuple:
     """The character of m_plus with an edge m1 -> m2 colored (i, l) for m2 = m1 A_{i,l}^-1.
 
     The blocks are the lifts f_it(m) for every monomial m of the character
     and every node i where m has a Y_i factor and is i-dominant, in the
     order of the character's terms and then of the nodes.  An edge
     joins two monomials of the character in one node-i block whose
-    quotient is a single A_{i,l}^-1.
+    quotient is a single A_{i,l}^-1.  Returns (vertices, edges): the
+    monomials of the character in sortkey order, and the (m1, m2, (i, l))
+    triples in the sortkey order of (m1, m2).
     """
     result = t_algorithm(alg, m_plus, budget)
     support = set(result.monomials())
@@ -494,4 +459,4 @@ def character_tree(alg: YtAlgebra, m_plus: Monomial,
         ((src, dst, key) for (src, dst), key in edges.items()),
         key=lambda e: (e[0].sortkey(), e[1].sortkey()),
     )
-    return CharacterTree(m_plus, vertices, edge_list)
+    return vertices, edge_list

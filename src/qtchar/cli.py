@@ -34,8 +34,8 @@ EXIT_BUDGET = 4
 EXIT_VERIFY = 5
 
 
-def _load_algebra(spec: str) -> YtAlgebra:
-    spec = spec.strip()
+def _load_algebra(spec: str | None) -> YtAlgebra:
+    spec = "A1" if spec is None else spec.strip()
     if spec.startswith("{"):
         try:
             obj = json.loads(spec, parse_int=lambda text: parse_int(text, "Cartan JSON"))
@@ -81,12 +81,12 @@ def _element_payload(x: YtElement, t1: bool):
     return serialize_element(x)
 
 
-def _dot_tree(tree) -> str:
+def _dot_tree(vertices, edges) -> str:
     lines = ["digraph tchar {"]
-    index = {m: k for k, m in enumerate(tree.vertices)}
-    for m in tree.vertices:
+    index = {m: k for k, m in enumerate(vertices)}
+    for m in vertices:
         lines.append(f'  n{index[m]} [label="{format_basis_monomial(m)}"];')
-    for src, dst, (i, l) in tree.edges:
+    for src, dst, (i, l) in edges:
         lines.append(f'  n{index[src]} -> n{index[dst]} [label="{i},{l}"];')
     lines.append("}")
     return "\n".join(lines)
@@ -97,8 +97,7 @@ def cmd_tchar(args) -> int:
     budget = _budget(args)
     seed = _within_rank(alg, parse_basis_monomial(args.seed))
     if args.format == "dot":
-        tree = character_tree(alg, seed, budget)
-        print(_dot_tree(tree))
+        print(_dot_tree(*character_tree(alg, seed, budget)))
         return EXIT_OK
     result = t_algorithm(alg, seed, budget)
     if args.format == "text":
@@ -173,7 +172,7 @@ def cmd_verify(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cartan", default="A1", help="Cartan type name or JSON")
+    common.add_argument("--cartan", default=None, help="Cartan type name or JSON (default: A1)")
     common.add_argument("--budget-monomials", default="200000")
     common.add_argument("--budget-depth", default=None,
                         help="optional cap on the A-depth (default: the exact bound)")
@@ -212,6 +211,8 @@ def main(argv=None) -> int:
         if args.t1 and (args.func in (cmd_kl, cmd_verify) or args.format == "dot"):
             where = "--format dot" if args.format == "dot" else args.command
             raise ParseError(f"--t1 has no effect on {where}")
+        if args.cartan is not None and args.func is cmd_verify:
+            raise ParseError("--cartan has no effect on verify: each suite fixes its own types")
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -1,8 +1,9 @@
 """Deformed screening operators and their kernels.
 
-s_it maps an element to a vector over the canonical screening-current
-window; the kernel elements e_it and f_it generate the node-i kernel, f_it
-being the unique kernel element whose only i-dominant monomial is m.
+s_it maps an element to its components, one per canonical index of the
+screening-current window; the kernel elements e_it and f_it generate the
+node-i kernel, f_it being the unique kernel element whose only i-dominant
+monomial is m.
 ft_sl2 holds the rank-1 f_it in A-string form, built from the segment
 strings with the local twist and no twisted product; lift_it lifts it to
 node i with the same local twist.
@@ -16,39 +17,6 @@ from .sl2 import decompose_segments, sl2_algebra
 from .tpoly import ONE, ZERO, TPoly
 
 
-class ScreeningVector:
-    """Element of the free module over node i: canonical index l in [-r_i, r_i)."""
-
-    __slots__ = ("i", "ri", "comps")
-
-    def __init__(self, i: int, ri: int):
-        self.i = i
-        self.ri = ri
-        self.comps = {l: YtElement.zero() for l in range(-ri, ri)}
-
-    def add(self, l: int, elem: YtElement):
-        if not (-self.ri <= l < self.ri):
-            raise ValueError(f"index {l} outside canonical window")
-        self.comps[l].add_scaled(elem)
-
-    def component(self, l: int) -> YtElement:
-        return self.comps[l]
-
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.comps.values())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ScreeningVector)
-            and (self.i, self.ri) == (other.i, other.ri)
-            and self.comps == other.comps
-        )
-
-    def __repr__(self):
-        parts = [f"{l}: {v!r}" for l, v in sorted(self.comps.items()) if not v.is_zero()]
-        return f"ScreeningVector(i={self.i}, " + ("0" if not parts else "; ".join(parts)) + ")"
-
-
 def _sigma(u: int) -> TPoly:
     """(t^{2u} - 1)/(t^2 - 1) in closed form; a Laurent polynomial for every u."""
     if u == 0:
@@ -58,10 +26,14 @@ def _sigma(u: int) -> TPoly:
     return TPoly({-2 * s: -1 for s in range(1, -u + 1)})
 
 
-def s_it(alg: YtAlgebra, i: int, x: YtElement) -> ScreeningVector:
-    """Apply the node-i deformed screening operator."""
+def s_it(alg: YtAlgebra, i: int, x: YtElement) -> dict:
+    """Apply the node-i deformed screening operator.
+
+    The result maps each canonical index l in [-r_i, r_i) to its component,
+    a YtElement.
+    """
     ri = alg.cartan.ri(i)
-    out = ScreeningVector(i, ri)
+    out = {l: YtElement.zero() for l in range(-ri, ri)}
     for m, p in x.items():
         for (j, l), u in m.items():
             if j != i or u == 0:
@@ -78,26 +50,26 @@ def s_it(alg: YtAlgebra, i: int, x: YtElement) -> ScreeningVector:
                 step = alg.a_inv_elem(i, ll + ri).scale(TPoly.t_power(-1))
                 coeff = alg.mul(coeff, step)
                 ll += 2 * ri
-            out.add(ll, coeff)
+            out[ll].add_scaled(coeff)
     return out
 
 
 def in_kernel(alg: YtAlgebra, i: int, x: YtElement) -> bool:
-    return s_it(alg, i, x).is_zero()
+    return all(v.is_zero() for v in s_it(alg, i, x).values())
 
 
 def in_kernel_all(alg: YtAlgebra, x: YtElement) -> bool:
     return all(in_kernel(alg, i, x) for i in alg.cartan.nodes())
 
 
-def _check_i_dominant(alg: YtAlgebra, i: int, m: Monomial):
+def _check_i_dominant(i: int, m: Monomial):
     if not m.is_dominant([i]):
         raise NotIDominant(f"{m} is not dominant for node {i}")
 
 
 def e_it(alg: YtAlgebra, i: int, m: Monomial) -> YtElement:
     """Ordered product of node-i kernel generators and spectator variables."""
-    _check_i_dominant(alg, i, m)
+    _check_i_dominant(i, m)
     ri = alg.cartan.ri(i)
     acc = YtElement.unit()
     for l in m.levels():
@@ -179,7 +151,7 @@ def ft_sl2(alg: YtAlgebra, m: Monomial) -> list:
         raise ValueError("ft_sl2 needs a rank-1 algebra")
     strings = _FT_SL2.get(m)
     if strings is None:
-        _check_i_dominant(alg, 1, m)
+        _check_i_dominant(1, m)
         terms = {(): {0: 1}}  # w as sorted (level, exponent) pairs -> {t-exponent: integer}
         y = {}  # level -> exponent of the segments combined so far
         for seg in decompose_segments(m):
@@ -256,7 +228,7 @@ def lift_it(alg: YtAlgebra, i: int, m: Monomial) -> list:
 
 def f_it(alg: YtAlgebra, i: int, m: Monomial) -> YtElement:
     """Kernel element with m as its unique i-dominant monomial: m plus the terms of lift_it."""
-    _check_i_dominant(alg, i, m)
+    _check_i_dominant(i, m)
     terms = {m.times(delta): TPoly(dict(coeff)) for delta, _, coeff in lift_it(alg, i, m)}
     return YtElement({m: ONE, **terms})
 

@@ -45,9 +45,6 @@ class Segment:
     def levels(self):
         return range(self.start, self.top + 1, 2)
 
-    def level_set(self):
-        return frozenset(self.levels())
-
     def monomial(self) -> Monomial:
         return Monomial({(1, l): 1 for l in self.levels()})
 
@@ -129,12 +126,12 @@ def is_irregular(m: Monomial) -> bool:
     """True iff some segment fits in another both in place and shifted by 2."""
     segments = decompose_segments(m)
     for a, s1 in enumerate(segments):
-        set1 = s1.level_set()
+        set1 = frozenset(s1.levels())
         shifted = frozenset(l + 2 for l in set1)
         for b, s2 in enumerate(segments):
             if a == b:
                 continue
-            set2 = s2.level_set()
+            set2 = frozenset(s2.levels())
             if set1 <= set2 and shifted <= set2:
                 return True
     return False

@@ -125,10 +125,13 @@ def test_bad_cartan_and_budget_exit_2(capsys, argv):
         ["kl", "--t1", "--cartan", "B2", "Y[2,0] Y[1,5]"],
         ["verify", "--t1", "involution"],
         ["tchar", "--t1", "--format", "dot", "Y[1,0]"],
+        ["verify", "--cartan", "Q9", "involution"],
+        ["verify", "--cartan", "A1", "involution"],
     ],
 )
 def test_dot_format_only_for_tchar(capsys, argv):
-    """--format dot outside tchar, and --t1 where it would change nothing, are parse errors."""
+    """--format dot outside tchar, and --t1 or --cartan where they would change
+    nothing, are parse errors."""
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("parse error")

@@ -1,7 +1,9 @@
 """Every top-level import of a module is referenced in that module,
 every module-level private function or class of qtchar is referenced
-somewhere in qtchar outside its own definition, and every qtchar name that
-the bench's layer trace looks up exists.
+somewhere in qtchar outside its own definition, every public function,
+class and method of qtchar is referenced somewhere in qtchar, tests/ or
+bench/ outside its own definition, and every qtchar name that the bench's
+layer trace looks up exists.
 
 qtchar/__init__.py is left out of the import check: it imports names only to
 re-export them.  Elsewhere `from m import x as x` marks a deliberate re-export.
@@ -42,27 +44,43 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def unreferenced_private_defs(sources: dict):
-    """Module-level _name functions and classes that nothing outside their own body names."""
-    trees = {name: ast.parse(source) for name, source in sources.items()}
-    orphans = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+def _defs(tree):
+    """Module-level functions and classes, with the methods of those classes, as
+    (qualified name, node) pairs."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+def unreferenced_defs(sources: dict, defined, private: bool):
+    """The private (_name) or public definitions in the `defined` paths of
+    `sources` that nothing in `sources` names outside the definition's own body.
+
+    Dunder names are left out.  An import in an __init__.py only re-exports,
+    so it is no reference.
+    """
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    refs = {}  # name -> ids of the nodes that name it
+    for path, tree in trees.items():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.alias) and Path(path).name == "__init__.py":
                 continue
+            if isinstance(n, (ast.Name, ast.Attribute, ast.alias)):
+                name = getattr(n, "id", None) or getattr(n, "attr", None) or n.name
+                refs.setdefault(name, []).append(id(n))
+    orphans = []
+    for module in defined:
+        for qualname, node in _defs(trees[module]):
             name = node.name
-            if not name.startswith("_") or name.startswith("__"):
+            if name.startswith("__") or name.startswith("_") != private:
                 continue
             own = {id(n) for n in ast.walk(node)}
-            if not any(
-                id(n) not in own and name in (
-                    getattr(n, "id", None), getattr(n, "attr", None), getattr(n, "name", None)
-                )
-                for other in trees.values()
-                for n in ast.walk(other)
-                if isinstance(n, (ast.Name, ast.Attribute, ast.alias))
-            ):
-                orphans.append(f"{module}:{name}")
+            if all(ref in own for ref in refs.get(name, ())):
+                orphans.append(f"{Path(module).name}:{qualname}")
     return orphans
 
 
@@ -72,12 +90,33 @@ def test_guard_sees_orphaned_private_helpers():
              "class _Imported:\n    pass\n\ndef __dunder__():\n    pass\n_used()\n",
         "b": "from a import _Imported\nimport a\na._used\n",
     }
-    assert unreferenced_private_defs(sources) == ["a:_self_only"]
+    assert unreferenced_defs(sources, sources, private=True) == ["a:_self_only"]
 
 
 def test_no_orphaned_private_helpers():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
-    assert unreferenced_private_defs(sources) == []
+    assert unreferenced_defs(sources, sources, private=True) == []
+
+
+def test_guard_sees_orphaned_public_names():
+    sources = {
+        "pkg/__init__.py": "from .m import exported_only\n",
+        "pkg/m.py": "def exported_only():\n    pass\n\ndef used():\n    return used()\n"
+                    "class Box:\n    def read(self):\n        return self.read()\n"
+                    "    def __eq__(self, other):\n        pass\n",
+        "tests/t.py": "from pkg.m import used, Box\nused()\n",
+    }
+    assert unreferenced_defs(sources, ["pkg/__init__.py", "pkg/m.py"], private=False) == [
+        "m.py:exported_only", "m.py:Box.read"
+    ]
+
+
+def test_no_orphaned_public_names():
+    """Every public function, class and method of qtchar is named somewhere in
+    qtchar, tests/ or bench/ outside its own body."""
+    paths = [*PACKAGE, *(ROOT / "tests").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+    sources = {p: p.read_text(encoding="utf-8") for p in paths}
+    assert unreferenced_defs(sources, PACKAGE, private=False) == []
 
 
 def _bench_tracer():
