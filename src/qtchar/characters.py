@@ -3,9 +3,10 @@ and the bar-invariant canonical basis with its KL-analogue polynomials."""
 
 from __future__ import annotations
 
-import heapq
+import struct
 import weakref
 from dataclasses import dataclass
+from itertools import compress
 
 from .algebra import Monomial, Terms, YtAlgebra, YtElement
 from .errors import (
@@ -55,84 +56,182 @@ def _depth_bound_in_budget(alg: YtAlgebra, m: Monomial, budget: Budget) -> int:
     return bound
 
 
+# field widths W, each with the struct format of a W-bit signed integer
+_FIELDS = ((8, "b"), (16, "h"), (32, "i"), (64, "q"))
+
+
+class _Packing:
+    """Monomials as integers: the exponent of Y_{i,l} is a W-bit signed field
+    at a slot assigned on first sight, and a monomial is the sum of
+    exponent * 2^(W * slot), an exact and unique form while every exponent
+    has absolute value below 2^(W-1).  bias holds 2^(W-1) in every slot, so
+    x + bias has each field nonnegative and its top bit set exactly when the
+    exponent is >= 0, and (x + bias) ^ bias holds each exponent in W-bit
+    two's complement.  Per node, tops holds 2^(W-1) and masks 2^W - 1 in
+    each of the node's slots."""
+
+    def __init__(self, nodes, reach: int):
+        """Fields of the narrowest width in _FIELDS that holds every exponent of
+        absolute value at most reach."""
+        fits = [(w, f) for w, f in _FIELDS if reach < 1 << (w - 1)]
+        if not fits:
+            raise BudgetExceeded(f"exponents up to {reach} do not fit 64-bit fields")
+        self.width, self.fmt = fits[0]
+        self.nodes = list(nodes)
+        self.slot = {}  # (node, level) -> slot
+        self.keys = []  # slot -> (node, level)
+        self.bias = 0
+        self.tops = [0] * len(self.nodes)
+        self.masks = [0] * len(self.nodes)
+        self._node_at = {i: k for k, i in enumerate(self.nodes)}
+        self._decoding = -1  # the number of slots that decode's tables cover
+
+    def encode(self, m: Monomial) -> int:
+        x = 0
+        w = self.width
+        for key, e in m.data:
+            k = self.slot.get(key)
+            if k is None:
+                k = self.slot[key] = len(self.keys)
+                self.keys.append(key)
+                half = 1 << (w * k + w - 1)
+                self.bias += half
+                at = self._node_at[key[0]]
+                self.tops[at] |= half
+                self.masks[at] |= ((1 << w) - 1) << (w * k)
+            x += e << (w * k)
+        return x
+
+    def decode(self, x: int) -> Monomial:
+        """The monomial of x; its (key, exponent) pairs are shared between the
+        monomials decoded with the same slots."""
+        n = len(self.keys)
+        if self._decoding != n:  # slots were added since the last decode
+            self._decoding = n
+            self._fields = struct.Struct(f"<{n}{self.fmt}")
+            self._rank = [0] * n
+            for r, k in enumerate(sorted(range(n), key=self.keys.__getitem__)):
+                self._rank[k] = r
+            self._pairs = [{} for _ in range(n)]  # slot -> {exponent: (key, exponent)}
+        raw = ((x + self.bias) ^ self.bias).to_bytes(n * self.width // 8, "little")
+        fields = self._fields.unpack(raw)
+        data = []
+        for k in sorted(compress(range(n), fields), key=self._rank.__getitem__):
+            e = fields[k]
+            kv = self._pairs[k].get(e)
+            if kv is None:
+                kv = self._pairs[k][e] = (self.keys[k], e)
+            data.append(kv)
+        return Monomial.from_sorted(tuple(data))
+
+
 def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGET) -> YtElement:
     """Frontier computation of the deformed character with highest monomial m_plus.
 
-    Monomials are processed in (A-depth, lexicographic) order, which extends
-    the partial order.  Each processed monomial m adds s(m) times the terms
-    of f_it(m) other than m, at every node i where m has a Y_i factor and is
-    i-dominant.  Those terms are never i-dominant, so nothing reaches m at
-    such a node, and every monomial but m_plus has a negative exponent.
-    lift_it reads only the node-i part of m.data (its keys name i), so a
-    memo that lives only for this call holds its result once per part; a
-    term is m times its Y-delta, at A-depth depth(m) + sum W.  Coefficients
-    are summed per monomial and node as integer maps {t-exponent: integer}
-    and made into TPolys once, when the monomial is processed.  A
-    non-dominant monomial must receive the same value from every node where
-    it has a negative exponent; disagreement aborts loudly, and so does an
-    A-depth past the bound of depth_bound.
+    Each processed monomial m adds s(m) times the terms of f_it(m) other
+    than m, at every node i where m has a Y_i factor and is i-dominant.
+    Those terms are never i-dominant, so nothing reaches m at such a node,
+    and every monomial but m_plus has a negative exponent.  A term m A^-W
+    lies sum W > 0 deeper than m, so the monomials are processed depth by
+    depth, and each has all its contributions when its depth comes.
+
+    Inside the loop a monomial is one integer (_Packing).  Every A_{i,l}^-1
+    has Y-exponents +-1 only, so no exponent at A-depth d is farther than d
+    from the seed's, and the fields are wide enough for max|seed exponent|
+    + depth_bound(m_plus); each edge's depth is checked against that bound
+    before its add.  So m A^-W is one integer add of the lift's Y-delta,
+    hash and equality are integer ones, and node-i dominance is a mask test
+    on m plus the bias.  lift_it reads only the node-i part of m, so a memo
+    that lives only for this call holds its result once per part, keyed by
+    the unbiased node-i fields, which do not change as slots are added; a
+    miss passes lift_it the decoded m.  Coefficients are summed per
+    monomial and node as integer maps {t-exponent: integer} and made into
+    TPolys once, when the monomial is processed.  A non-dominant monomial
+    must receive the same value from every node where it has a negative
+    exponent; disagreement aborts loudly, and so does an A-depth past the
+    bound of depth_bound.  After the loop the depths are decoded one at a
+    time, shallowest first, each sorted by sortkey and its integers then
+    released, so the terms come in (A-depth, sortkey) order.
     """
     if not m_plus.is_dominant():
         raise NotDominant(f"seed {m_plus} is not dominant")
     bound = _depth_bound_in_budget(alg, m_plus, budget)
-    acc = {}  # monomial -> {node i: {t-exponent: integer coefficient}}
-    lifts = {}  # node-i part of m.data -> lift_it(alg, i, m)
-    s = {}
-    heap = [(0, m_plus.sortkey(), m_plus)]
-    seen = {m_plus}
+    code = _Packing(alg.cartan.nodes(), max((abs(e) for _, e in m_plus.items()), default=0) + bound)
+    x_plus = code.encode(m_plus)
+    acc = {}  # packed monomial -> {node i: {t-exponent: integer coefficient}}
+    lifts = {}  # unbiased node-i fields of m -> [(packed Y-delta, sum W, coefficient items)]
+    buckets = {0: [x_plus]}  # A-depth -> the packed monomials discovered there
+    levels = []  # per processed depth, (packed m, s(m)) for each nonzero s(m)
+    found = 1
     cap = budget.max_a_depth
-    while heap:
-        depth_m, _, m = heapq.heappop(heap)
-        neg, parts = set(), {}  # nodes with a negative exponent in m; node -> its part of m.data
-        for kv in m.data:
-            i = kv[0][0]
-            if kv[1] < 0:
-                neg.add(i)
-            parts.setdefault(i, []).append(kv)
-        si = {i: TPoly.adopt(d) for i, d in acc.pop(m, {}).items()}
-        if m == m_plus:
-            sm = ONE
-        elif not neg:
-            raise InternalInconsistency(f"{m} below the seed {m_plus} is dominant")
-        else:
-            vals = [si.get(i, ZERO) for i in sorted(neg)]
-            for v in vals[1:]:
-                if v != vals[0]:
-                    raise AlgorithmFails(
-                        f"node values disagree at {m}: {vals[0]} vs {v}"
-                    )
-            sm = vals[0]
-        s[m] = sm
-        sm_items = sm.coeffs.items()
-        if not sm_items:
-            continue
-        for i, part in parts.items():
-            if i in neg:
+    limit = bound if cap is None else min(bound, cap)
+    while buckets:
+        depth_m = min(buckets)
+        level = []
+        for x in buckets.pop(depth_m):
+            xb = x + code.bias
+            ux = xb ^ code.bias
+            neg, parts = [], []  # nodes with a negative exponent in m; (node, memo key)
+            for i, top, mask in zip(code.nodes, code.tops, code.masks):
+                if xb & top != top:
+                    neg.append(i)
+                elif key := ux & mask:
+                    parts.append((i, key))
+            si = acc.pop(x, {})
+            if x == x_plus:
+                sm = ONE
+            elif not neg:
+                raise InternalInconsistency(f"{code.decode(x)} below the seed {m_plus} is dominant")
+            else:
+                vals = [TPoly.adopt(si[i]) if i in si else ZERO for i in neg]
+                for v in vals[1:]:
+                    if v != vals[0]:
+                        raise AlgorithmFails(
+                            f"node values disagree at {code.decode(x)}: {vals[0]} vs {v}"
+                        )
+                sm = vals[0]
+            if not sm:
                 continue
-            key = tuple(part)
-            lift = lifts.get(key)
-            if lift is None:
-                lift = lifts[key] = lift_it(alg, i, m)
-            for delta, depth_w, coeff in lift:
-                mr = m.times(delta)
-                d = acc.setdefault(mr, {}).setdefault(i, {})
-                for e1, c1 in sm_items:
-                    for e2, c2 in coeff:
-                        d[e1 + e2] = d.get(e1 + e2, 0) + c1 * c2
-                if mr not in seen:
-                    seen.add(mr)
-                    if len(seen) > budget.max_monomials:
-                        raise BudgetExceeded(
-                            f"more than {budget.max_monomials} monomials discovered"
-                        )
+            level.append((x, sm))
+            sm_items = sm.coeffs.items()
+            for i, key in parts:
+                lift = lifts.get(key)
+                if lift is None:
+                    lift = lifts[key] = [(code.encode(dl), dw, coeff)
+                                         for dl, dw, coeff in lift_it(alg, i, code.decode(x))]
+                for delta, depth_w, coeff in lift:
                     depth = depth_m + depth_w
-                    if depth > bound:
-                        raise InternalInconsistency(
-                            f"A-depth {depth} of {mr} exceeds the bound {bound}"
-                        )
-                    if cap is not None and depth > cap:
+                    if depth > limit:
+                        if depth > bound:  # name the first term past the bound in full
+                            m = code.decode(x)
+                            mr = next(m.times(dl) for dl, dw, _ in lift_it(alg, i, m)
+                                      if depth_m + dw > bound)
+                            raise InternalInconsistency(
+                                f"A-depth {depth} of {mr} exceeds the bound {bound}"
+                            )
                         raise BudgetExceeded(f"A-depth {depth} exceeds budget {cap}")
-                    heapq.heappush(heap, (depth, mr.sortkey(), mr))
+                    mr = x + delta
+                    d = acc.get(mr)
+                    if d is None:  # mr is new: every processed monomial is shallower
+                        found += 1
+                        if found > budget.max_monomials:
+                            raise BudgetExceeded(
+                                f"more than {budget.max_monomials} monomials discovered"
+                            )
+                        d = acc[mr] = {}
+                        buckets.setdefault(depth, []).append(mr)
+                    d = d.setdefault(i, {})
+                    for e1, c1 in sm_items:
+                        for e2, c2 in coeff:
+                            d[e1 + e2] = d.get(e1 + e2, 0) + c1 * c2
+        levels.append(level)
+    del lifts
+    s = {}
+    levels.reverse()
+    while levels:  # shallowest first; a level's integers go once it is decoded
+        terms = [(code.decode(x), sm) for x, sm in levels.pop()]
+        terms.sort(key=lambda mp: mp[0].sortkey())
+        s.update(terms)
     return YtElement(s)
 
 

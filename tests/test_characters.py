@@ -1,6 +1,7 @@
 import gc
 import heapq
 import random
+import re
 import weakref
 
 import pytest
@@ -11,6 +12,7 @@ from qtchar.classical import cc_mul
 from qtchar.characters import (
     _FUNDAMENTALS,
     Budget,
+    _Packing,
     RepElement,
     character_tree,
     chi_qt,
@@ -23,7 +25,13 @@ from qtchar.characters import (
     star_product,
     t_algorithm,
 )
-from qtchar.errors import BudgetExceeded, InternalInconsistency, InversionFails, NotDominant
+from qtchar.errors import (
+    AlgorithmFails,
+    BudgetExceeded,
+    InternalInconsistency,
+    InversionFails,
+    NotDominant,
+)
 from qtchar.grammar import parse_basis_monomial
 from qtchar.screening import e_it, f_it, ft_sl2
 from qtchar.sl2 import sl2_algebra
@@ -72,6 +80,36 @@ def test_depth_past_exact_bound_is_inconsistent(monkeypatch):
     g2 = algebra("G2")
     monkeypatch.setattr(g2, "depth_bound", lambda m_plus: 1)
     with pytest.raises(InternalInconsistency):
+        t_algorithm(g2, Monomial.y(2, 0))
+
+
+def test_loop_errors_name_the_whole_monomial(monkeypatch):
+    """The three consistency errors of the frontier loop name the monomial in full."""
+    real_lift_it = screening.lift_it
+
+    def dominant_lift(alg, i, m):  # one term m Y[2,5], at A-depth 1
+        return [(Monomial.y(2, 5), 1, ((0, 1),))]
+
+    monkeypatch.setattr(characters, "lift_it", dominant_lift)
+    with pytest.raises(InternalInconsistency,
+                       match=re.escape("Y[1,0] Y[2,5] below the seed Y[1,0] is dominant")):
+        t_algorithm(algebra("A2"), Monomial.y(1, 0))
+
+    def tilted_lift(alg, i, m):  # t times the node-1 lift of the part Y[1,0] alone
+        tilt = i == 1 and [kv for kv in m.items() if kv[0][0] == 1] == [((1, 0), 1)]
+        return [(d, w, tuple((e + tilt, c) for e, c in coeff))
+                for d, w, coeff in real_lift_it(alg, i, m)]
+
+    monkeypatch.setattr(characters, "lift_it", tilted_lift)
+    with pytest.raises(AlgorithmFails,
+                       match=re.escape("node values disagree at Y[1,4]^-1 Y[2,3]^-1: t vs 1")):
+        t_algorithm(algebra("A2"), Monomial({(1, 0): 1, (2, 1): 1}))
+    monkeypatch.undo()
+
+    g2 = algebra("G2")
+    monkeypatch.setattr(g2, "depth_bound", lambda m_plus: 1)
+    with pytest.raises(InternalInconsistency,
+                       match=re.escape("A-depth 2 of Y[1,1] Y[1,3] Y[1,7]^-1 exceeds the bound 1")):
         t_algorithm(g2, Monomial.y(2, 0))
 
 
@@ -191,6 +229,48 @@ def test_t_algorithm_matches_reference_loop_across_residue_classes(matrix, seed)
     seed = Monomial(seed)
     got = list(t_algorithm(alg, seed).items())
     assert got == list(_reference_t_algorithm(alg, seed).items())
+
+
+@pytest.mark.parametrize("cartan", [*KERNEL_TYPES, B2_BENCH, F4_BENCH], ids=str)
+def test_a_inverse_moves_each_exponent_by_at_most_one(cartan):
+    """Every A_{i,l}^-1 has Y-exponents +-1 only, so no exponent of a monomial at
+    A-depth d is farther than d from the seed's: the field width of t_algorithm
+    rests on this."""
+    alg = algebra(cartan)
+    for i in alg.cartan.nodes():
+        assert {abs(e) for _, e in alg.a_expand_inv(i, 0).items()} == {1}, i
+
+
+@pytest.mark.parametrize("u,width", [(63, 8), (64, 16)])
+def test_t_algorithm_matches_reference_loop_at_the_field_width_edge(sl2, u, width):
+    """Y[1,0]^u reaches exponents up to u + depth_bound = 2u: 126 still fits
+    8-bit fields, 128 needs 16-bit ones."""
+    seed = Monomial.y(1, 0, u)
+    assert u + sl2.depth_bound(seed) == 2 * u
+    assert _Packing(sl2.cartan.nodes(), 2 * u).width == width
+    got = list(t_algorithm(sl2, seed).items())
+    assert got == list(_reference_t_algorithm(sl2, seed).items())
+
+
+@pytest.mark.parametrize("width", [8, 16])
+def test_packing_round_trips_at_the_field_edges(width):
+    """Encode, add and decode are exact for exponents up to +-(2^(W-1) - 1), and
+    the biased top bits tell each node's dominance."""
+    top = (1 << (width - 1)) - 1
+    code = _Packing([1, 2], top)
+    assert code.width == width
+    a = Monomial({(1, 0): top - 1, (2, 1): 1 - top})
+    b = Monomial({(1, 0): 1, (2, 1): -1, (2, 3): top})
+    c = Monomial({(1, 0): -top, (1, 2): -top})
+    xa, xb, xc = (code.encode(m) for m in (a, b, c))
+    ab, abc = a.times(b), a.times(b).times(c)
+    assert {(1, 0): top, (2, 1): -top, (2, 3): top} == dict(ab.items())
+    for m, x in [(a, xa), (b, xb), (c, xc), (ab, xa + xb), (abc, xa + xb + xc)]:
+        assert code.decode(x) == m
+        assert code.encode(m) == x
+        biased = x + code.bias
+        for k, i in enumerate(code.nodes):
+            assert (biased & code.tops[k] == code.tops[k]) == m.is_dominant([i]), (m, i)
 
 
 def test_lift_is_built_once_per_node_part(monkeypatch):
