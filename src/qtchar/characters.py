@@ -83,7 +83,6 @@ class _Packing:
         self.bias = 0
         self.tops = [0] * len(self.nodes)
         self.masks = [0] * len(self.nodes)
-        self._node_at = {i: k for k, i in enumerate(self.nodes)}
         self._decoding = -1  # the number of slots that decode's tables cover
 
     def encode(self, m: Monomial) -> int:
@@ -96,7 +95,7 @@ class _Packing:
                 self.keys.append(key)
                 half = 1 << (w * k + w - 1)
                 self.bias += half
-                at = self._node_at[key[0]]
+                at = self.nodes.index(key[0])
                 self.tops[at] |= half
                 self.masks[at] |= ((1 << w) - 1) << (w * k)
             x += e << (w * k)

@@ -252,6 +252,12 @@ def test_t_algorithm_matches_reference_loop_at_the_field_width_edge(sl2, u, widt
     assert got == list(_reference_t_algorithm(sl2, seed).items())
 
 
+def test_exponents_past_64_bit_fields_exceed_the_budget(sl2):
+    """Y[1,0]^(2^62) reaches 2^62 + depth_bound = 2^63: refused before any lift."""
+    with pytest.raises(BudgetExceeded, match="64-bit fields"):
+        t_algorithm(sl2, Monomial.y(1, 0, 1 << 62), Budget(max_monomials=1 << 64))
+
+
 @pytest.mark.parametrize("width", [8, 16])
 def test_packing_round_trips_at_the_field_edges(width):
     """Encode, add and decode are exact for exponents up to +-(2^(W-1) - 1), and
