@@ -12,7 +12,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .cartan import InvCartanSeries, SymmetrizedCartan
-from .errors import InternalInconsistency, NotSimplyLaced
+from .errors import InternalInconsistency, NotSimplyLaced, ParseError
 from .tpoly import ONE, ZERO, TPoly
 
 _level_node = itemgetter(1, 0)  # order (node, level) keys level-major
@@ -473,7 +473,12 @@ class YtAlgebra:
 
         lambda = wt(m_plus); every monomial of a character with highest
         weight lambda has weight at least w0 lambda (Frenkel-Mukhin).
+        ParseError for a node outside 1..n.
         """
+        n = self.cartan.n
+        for (i, _), _e in m_plus.items():
+            if not 1 <= i <= n:
+                raise ParseError(f"node {i} outside rank-{n} algebra")
         bound = 2 * sum(self.cartan.heights[i - 1] * e for (i, _), e in m_plus.items())
         if bound.denominator != 1:
             raise InternalInconsistency(f"2<wt({m_plus}), rho^v> = {bound} is not an integer")

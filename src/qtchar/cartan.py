@@ -2,13 +2,13 @@
 
 The quantized Cartan matrix C(z) has quantum-integer entries; its inverse
 C~(z) is expanded as a series in descending powers of z, whose integer
-coefficients drive every commutation exponent downstream.  det C(z) and the
-adjugate adj C(z) come from one fraction-free (Bareiss) Gauss-Jordan
-elimination over integer Laurent polynomials, run while the matrix is
-validated: its pivots at z = 1 decide finite type, and adj C(1) / det C(1)
-= C^-1 gives the heights of the fundamental weights.  Series coefficients
-are then produced lazily by exact long division of adjugate entries by
-det C(z).
+coefficients drive every commutation exponent downstream.  Validation runs
+one rational Gauss-Jordan elimination of the integer matrix C = C(1): its
+pivots decide finite type, and the column sums of C^-1 are the heights of
+the fundamental weights.  The series comes straight from C~(z) C(z) = I:
+column j of C(z) has one top-degree term, z^(r_j) with coefficient 1, so
+each coefficient is an integer combination of higher ones in its row,
+filled in lazily with no division.
 
 Nodes are 1-based throughout the public API.
 """
@@ -29,34 +29,6 @@ from .errors import (
     parse_int,
 )
 
-# ---------------------------------------------------------------------------
-# sparse Laurent polynomials in z: dict exponent -> int
-# ---------------------------------------------------------------------------
-
-
-def zp_add(a, b):
-    d = dict(a)
-    for e, c in b.items():
-        v = d.get(e, 0) + c
-        if v:
-            d[e] = v
-        elif e in d:
-            del d[e]
-    return d
-
-
-def zp_mul(a, b):
-    d = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            v = d.get(e, 0) + c1 * c2
-            if v:
-                d[e] = v
-            elif e in d:
-                del d[e]
-    return d
-
 
 def quantum_integer(n: int) -> dict:
     """[n]_z = (z^n - z^-n)/(z - z^-1) as a sparse Laurent polynomial."""
@@ -65,11 +37,6 @@ def quantum_integer(n: int) -> dict:
     if n < 0:
         return {e: -c for e, c in quantum_integer(-n).items()}
     return {n - 1 - 2 * k: 1 for k in range(n)}
-
-
-def _at_one(p: dict) -> int:
-    """Value of a Laurent polynomial at z = 1."""
-    return sum(p.values())
 
 
 # ---------------------------------------------------------------------------
@@ -173,15 +140,37 @@ def _check_rank(n: int):
         raise BudgetExceeded(f"Cartan rank {n} is more than {MAX_RANK}")
 
 
+def _inverse(entries):
+    """C^-1 by Gauss-Jordan elimination over the rationals; NotFiniteType unless D C > 0.
+
+    No row swaps: the pivot of step k is the ratio of the leading principal
+    minors of orders k + 1 and k of C.  The same minor of D C is r_1 ...
+    r_(k+1) times that of C, so by Sylvester's criterion D C is positive
+    definite exactly when every pivot is positive.
+    """
+    n = len(entries)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(entries)]
+    for k in range(n):
+        pivot = rows[k][k]
+        if pivot <= 0:
+            raise NotFiniteType(f"symmetrized matrix is not positive definite (minor {k + 1})")
+        pivot_row = rows[k] = [x / pivot for x in rows[k]]
+        for i, row in enumerate(rows):
+            if i != k and row[k]:
+                rows[i] = [x - row[k] * y for x, y in zip(row, pivot_row)]
+    return [row[n:] for row in rows]
+
+
 class SymmetrizedCartan(CartanMatrix):
-    """Validated finite-type Cartan matrix with r_i, C(z), det C(z) and adj C(z).
+    """Validated finite-type Cartan matrix with r_i, C(z) and the heights.
 
     Construction checks the Cartan axioms and the rank limit MAX_RANK (as
-    BudgetExceeded), finds the symmetrizers and runs the elimination of
-    C(z), which raises NotFiniteType unless D C is positive definite.
-    heights[k - 1] = ht(omega_k) = <omega_k, rho^v>, the k-th column sum of
-    C^-1 = adj C(1) / det C(1): A_{i,l} has weight alpha_i = sum_j C_ji
-    omega_j, so omega_k has root coordinates in column k of C^-1.
+    BudgetExceeded), finds the symmetrizers and inverts C, which raises
+    NotFiniteType unless D C is positive definite.  heights[k - 1] =
+    ht(omega_k) = <omega_k, rho^v>, the k-th column sum of C^-1: A_{i,l}
+    has weight alpha_i = sum_j C_ji omega_j, so omega_k has root
+    coordinates in column k of C^-1.
     """
 
     def __init__(self, entries):
@@ -192,11 +181,8 @@ class SymmetrizedCartan(CartanMatrix):
             [{r: 1, -r: 1} if i == j else quantum_integer(c) for j, c in enumerate(row)]
             for i, (r, row) in enumerate(zip(self.r, self.entries))
         ]
-        self.det, self.adj = _det_and_adjugate(self.cz)
-        det1 = _at_one(self.det)
-        self.heights = [
-            Fraction(sum(_at_one(row[k]) for row in self.adj), det1) for k in range(self.n)
-        ]
+        inverse = _inverse(self.entries)
+        self.heights = [sum(row[k] for row in inverse) for k in range(self.n)]
 
     def ri(self, i):
         return self.r[i - 1]
@@ -208,7 +194,7 @@ class SymmetrizedCartan(CartanMatrix):
 
 
 def validate_cartan(entries) -> SymmetrizedCartan:
-    """Validate a finite-type Cartan matrix and attach r_i, C(z), det and adj."""
+    """Validate a finite-type Cartan matrix and attach r_i, C(z) and the heights."""
     return SymmetrizedCartan(entries)
 
 
@@ -217,100 +203,51 @@ def validate_cartan(entries) -> SymmetrizedCartan:
 # ---------------------------------------------------------------------------
 
 
-class _DescendingQuotient:
-    """Lazy expansion of num/den in Z((z^-1)) by exact long division."""
-
-    __slots__ = ("rem", "den", "den_deg", "den_lead", "coeffs")
-
-    def __init__(self, num: dict, den: dict):
-        self.rem = dict(num)
-        self.den = den
-        self.den_deg = max(den)
-        self.den_lead = den[self.den_deg]
-        self.coeffs = {}
-
-    def coeff(self, r: int) -> int:
-        while self.rem and max(self.rem) - self.den_deg >= r:
-            d = max(self.rem)
-            e = d - self.den_deg
-            c, residue = divmod(self.rem[d], self.den_lead)
-            if residue:
-                raise InternalInconsistency("non-exact division step in series expansion")
-            self.coeffs[e] = c
-            for de, dc in self.den.items():
-                nd = de + e
-                v = self.rem.get(nd, 0) - c * dc
-                if v:
-                    self.rem[nd] = v
-                elif nd in self.rem:
-                    del self.rem[nd]
-        return self.coeffs.get(r, 0)
-
-
-def zp_exact_div(num: dict, den: dict) -> dict:
-    """num / den for Laurent polynomials; raises if den does not divide num."""
-    if not num:
-        return {}
-    quotient = _DescendingQuotient(num, den)
-    quotient.coeff(min(num) - min(den))
-    if quotient.rem:
-        raise InternalInconsistency("non-exact Laurent division")
-    return quotient.coeffs
-
-
-def _det_and_adjugate(cz):
-    """det C(z) and adj C(z) without fractions; NotFiniteType unless D C > 0.
-
-    Fraction-free (Bareiss) Gauss-Jordan elimination on [C(z) | I]: step k
-    keeps row k and replaces every other row i by (p_k M_i - M_ik M_k) /
-    p_(k-1), with p_k the k-th pivot and p_(-1) = 1.  Every entry stays a
-    minor of [C(z) | I], so each division is exact, and at the end the left
-    block is det C(z) times the identity and the right block is adj C(z).
-    No row swaps: the pivot p_k is the leading principal minor of order
-    k + 1, which at z = 1 is that of C.  The same minor of D C is
-    r_1 ... r_(k+1) times it, so by Sylvester's criterion D C is positive
-    definite exactly when every pivot is positive at z = 1.
-    """
-    n = len(cz)
-    rows = [list(cz[i]) + [{0: 1} if j == i else {} for j in range(n)] for i in range(n)]
-    prev = {0: 1}
-    for k in range(n):
-        pivot_row = rows[k]
-        pivot = pivot_row[k]
-        if _at_one(pivot) <= 0:
-            raise NotFiniteType(f"symmetrized matrix is not positive definite (minor {k + 1})")
-        for i in range(n):
-            if i == k:
-                continue
-            row = rows[i]
-            neg_factor = {e: -c for e, c in row[k].items()}
-            for j in range(2 * n):
-                if j != k:
-                    entry = zp_add(zp_mul(pivot, row[j]), zp_mul(neg_factor, pivot_row[j]))
-                    row[j] = zp_exact_div(entry, prev)
-            row[k] = {}
-        prev = pivot
-    return prev, [row[n:] for row in rows]
-
-
 class InvCartanSeries:
     """Coefficients of C~(z) = C(z)^-1 expanded in descending powers of z.
 
-    Entries are quotients adj(C(z))_{a,b} / det C(z), expanded lazily and
-    cached.  Not thread-safe: the package starts no threads, and expanding
-    an entry mutates its cache.
+    Column j of C(z) has one term of top degree, z^(r_j) with coefficient
+    1 on the diagonal; every other term d_kj z^d has d < r_j.  So the
+    coefficient of z^(s + r_j) in entry (a, j) of C~(z) C(z) = I gives
+
+        c~_aj(s) = [a = j, s = -r_j] - sum d_kj c~_ak(s + r_j - d)
+
+    over those other terms, and the right side reads only higher levels of
+    row a.  Above s = -min r every coefficient is 0, so each row is filled
+    from that level down, lazily and with integer arithmetic only.  A row
+    is one flat list: c~_ab(s) sits at pad + (-min r - s) n + b - 1, behind
+    pad zeros that stand for the levels above.  Not thread-safe: the
+    package starts no threads, and a lookup extends its row in place.
     """
 
     def __init__(self, cartan: SymmetrizedCartan):
-        self._quotients = {
-            (a + 1, b + 1): _DescendingQuotient(entry, cartan.det)
-            for a, row in enumerate(cartan.adj)
-            for b, entry in enumerate(row)
-        }
+        n, r = cartan.n, cartan.r
+        self._n, self._top = n, -min(r)
+        self._terms = []  # per column j: (flat distance back, d_kj) of each other term
+        for j in range(n):
+            col = [(k, d, c) for k in range(n) for d, c in cartan.cz[k][j].items()
+                   if (k, d) != (j, r[j])]
+            if cartan.cz[j][j].get(r[j]) != 1 or any(d >= r[j] for _, d, _ in col):
+                raise InternalInconsistency(f"column {j + 1} of C(z) has no single top term")
+            self._terms.append([((r[j] - d) * n + j - k, c) for k, d, c in col])
+        self._pad = n * (1 + max(dist for terms in self._terms for dist, _ in terms) // n)
+        self._rows = [[0] * self._pad for _ in range(n)]
+        self._ones = [self._pad + (r[a] + self._top) * n + a for a in range(n)]
 
     def entry_coeff(self, a: int, b: int, r: int) -> int:
         """Coefficient of z^r in the series of C~(z)_{a,b}."""
-        return self._quotients[(a, b)].coeff(r)
+        if r > self._top:
+            return 0
+        p = self._pad + (self._top - r) * self._n + b - 1
+        row = self._rows[a - 1]
+        if p >= len(row):
+            terms, n, one = self._terms, self._n, self._ones[a - 1]
+            for q in range(len(row), p + 1):
+                v = 1 if q == one else 0
+                for dist, c in terms[q % n]:
+                    v -= c * row[q - dist]
+                row.append(v)
+        return row[p]
 
 
 # ---------------------------------------------------------------------------

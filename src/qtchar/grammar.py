@@ -13,7 +13,8 @@ left to right in the twisted algebra:
 Indices and exponents are ASCII integers of at most errors.MAX_DIGITS digits.
 
 Serialized elements carry each basis monomial as its plain exponent map
-(the normal-ordered string), so parse(serialize(x)) == x exactly.
+(the normal-ordered string, "1" for the unit), so parse(serialize(x)) == x
+exactly.  Empty exponent-map text is a parse error, not the unit.
 """
 
 from __future__ import annotations
@@ -102,10 +103,18 @@ def parse_element_lines(alg: YtAlgebra, text: str) -> YtElement:
     return total
 
 
+def _exponent_map_tokens(text: str) -> list:
+    """The factors of an exponent-map text; none for the lone unit "1"."""
+    toks = text.split()
+    if not toks:
+        raise ParseError("empty monomial")
+    return [] if toks == ["1"] else toks
+
+
 def parse_basis_monomial(text: str) -> Monomial:
     """Plain exponent map: Y factors only, no evaluation order involved."""
     d = {}
-    for tok in text.split():
+    for tok in _exponent_map_tokens(text):
         factor = _parse_factor(tok)
         if factor[0] != "Y":
             raise ParseError(f"basis monomial may only contain Y factors, got {tok!r}")
@@ -154,7 +163,7 @@ def format_element_text(x: YtElement) -> str:
 
 def parse_rep_monomial(text: str) -> Monomial:
     d = {}
-    for tok in text.split():
+    for tok in _exponent_map_tokens(text):
         tok2 = tok.replace("X[", "Y[", 1) if tok.startswith("X[") else tok
         factor = _parse_factor(tok2)
         if factor[0] != "Y":

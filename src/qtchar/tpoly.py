@@ -110,6 +110,8 @@ class TPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        if not self.coeffs.keys() - {0}:  # a constant equals, so hashes as, its integer
+            return hash(self.coeffs.get(0, 0))
         return hash(frozenset(self.coeffs.items()))
 
     def at_one(self) -> int:

@@ -1,4 +1,7 @@
+import itertools
+import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,17 +19,35 @@ from qtchar.cartan import (
 from qtchar.errors import (
     MAX_RANK,
     BudgetExceeded,
+    InternalInconsistency,
     NotCartan,
     NotFiniteType,
     NotSymmetrizable,
     ParseError,
 )
 
+
+def _blocks(*names):
+    """Block-diagonal Cartan matrix of the named types, in order."""
+    parts = [named_cartan(name) for name in names]
+    n = sum(len(part) for part in parts)
+    m = [[0] * n for _ in range(n)]
+    o = 0
+    for part in parts:
+        for i, row in enumerate(part):
+            m[o + i][o:o + len(row)] = row
+        o += len(part)
+    return m
+
+
 DEPTH_TYPES = (
     [f"A{n}" for n in range(1, 7)]
     + [f"B{n}" for n in range(2, 5)]
     + [f"C{n}" for n in range(2, 5)]
     + ["D4", "D5", "G2", "F4", "E6", "E7", "E8"]
+    # components with different r: the series starts at -min r
+    + [pytest.param(_blocks(*names), id="x".join(names))
+       for names in [("A1", "G2"), ("B2", "G2"), ("A2", "B2", "A1")]]
 )
 
 
@@ -42,6 +63,77 @@ def test_inverse_series_to_depth_60(name):
                     for e, c in alg.cartan.cz[i - 1][k - 1].items():
                         total += c * alg.tilde(k, j, r - e)
                 assert total == (1 if (i == j and r == 0) else 0)
+
+
+def _det(m):
+    """Determinant by the permutation expansion."""
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        total += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(n))
+    return total
+
+
+def _cycles_balance(m):
+    """Kac's criterion: symmetrizable iff every cycle's product equals its reverse's."""
+    n = len(m)
+    for k in range(3, n + 1):
+        for cyc in itertools.permutations(range(n), k):
+            pairs = [(cyc[s], cyc[(s + 1) % k]) for s in range(k)]
+            if math.prod(m[i][j] for i, j in pairs) != math.prod(m[j][i] for i, j in pairs):
+                return False
+    return True
+
+
+def test_random_cartan_sweep():
+    """Acceptance follows Kac's cycle criterion and the integer leading
+    principal minors; each accepted matrix has C(z) C~(z) = I to depth 30."""
+    rng = random.Random("cartan-sweep")
+    outcomes = {"accepted": 0, NotSymmetrizable: 0, NotFiniteType: 0}
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.6:
+                    m[i][j], m[j][i] = -rng.choice([1, 1, 1, 2, 3, 4]), -rng.choice([1, 1, 2, 3])
+        minors = [_det([row[:k] for row in m[:k]]) for k in range(1, n + 1)]
+        if not _cycles_balance(m):
+            expected = NotSymmetrizable
+        elif any(d <= 0 for d in minors):
+            expected = NotFiniteType
+            first = next(k for k, d in enumerate(minors, 1) if d <= 0)
+        else:
+            expected = "accepted"
+        outcomes[expected] += 1
+        if expected != "accepted":
+            with pytest.raises(expected) as info:
+                validate_cartan(m)
+            if expected is NotFiniteType:
+                assert str(info.value).endswith(f"(minor {first})")
+            continue
+        c = validate_cartan(m)
+        series = cartan.InvCartanSeries(c)
+        for i in range(n):
+            for j in range(n):
+                for r in range(-30, 3):
+                    total = sum(coeff * series.entry_coeff(k + 1, j + 1, r - e)
+                                for k in range(n) for e, coeff in c.cz[i][k].items())
+                    assert total == (i == j and r == 0), (m, i, j, r)
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+@pytest.mark.parametrize("name", ["A2", "B2"])
+def test_series_needs_one_top_term_per_column(monkeypatch, name):
+    """An off-diagonal term of degree r_j in column j would make the
+    recurrence read its own level, so the series refuses it."""
+    c = validate_cartan(named_cartan(name))
+    cz = [list(row) for row in c.cz]
+    cz[0][1] = {c.r[1]: -1}
+    monkeypatch.setattr(c, "cz", cz)
+    with pytest.raises(InternalInconsistency, match="column 2"):
+        cartan.InvCartanSeries(c)
 
 
 def test_symmetrizers():

@@ -31,6 +31,7 @@ from qtchar.errors import (
     InternalInconsistency,
     InversionFails,
     NotDominant,
+    ParseError,
 )
 from qtchar.grammar import parse_basis_monomial
 from qtchar.screening import e_it, f_it, ft_sl2
@@ -164,6 +165,15 @@ def test_exact_depth_bound_is_reached(name, node, bound):
     result = t_algorithm(alg, seed)
     assert alg.depth_bound(seed) == bound
     assert max(alg.a_depth(m, seed) for m in result.monomials()) == bound
+
+
+@pytest.mark.parametrize("node", [0, -1, 3])
+def test_node_outside_rank_is_parse_error(a2, node):
+    """Node 0 must not read node n's height, nor node 3 run past the list."""
+    seed = Monomial.y(node, 0)
+    for call in (a2.depth_bound, lambda m: t_algorithm(a2, m)):
+        with pytest.raises(ParseError, match=f"node {node} outside rank-2 algebra"):
+            call(seed)
 
 
 def _reference_t_algorithm(alg, m_plus):

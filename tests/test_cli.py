@@ -93,6 +93,28 @@ def test_parse_error_exit_2(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["tchar", ""], 2),
+        (["tchar", "  "], 2),
+        (["kl", ""], 2),
+        (["product", "", "X[1,0]"], 2),
+        (["tchar", "1"], 0),
+        (["kl", "1"], 0),
+        (["product", "1", "X[1,0]"], 0),
+    ],
+)
+def test_empty_and_unit_seed(capsys, argv, code):
+    """Empty text is a parse error; the lone token 1 is the unit monomial."""
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    if code:
+        assert out == "" and err == "parse error: empty monomial\n"
+    else:
+        assert err == "" and json.loads(out)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["--cartan", '{"type": 5}'],
@@ -189,7 +211,7 @@ def _refuse(*_args):
 def test_rank_past_max_rank_exit_4(capsys, monkeypatch, spec):
     """Refused before _chain allocates and before the elimination runs."""
     monkeypatch.setattr(cartan, "_chain", _refuse)
-    monkeypatch.setattr(cartan, "_det_and_adjugate", _refuse)
+    monkeypatch.setattr(cartan, "_inverse", _refuse)
     code, out, err = run(capsys, "tchar", "--cartan", spec, "Y[1,0]")
     assert code == 4 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("budget exceeded")

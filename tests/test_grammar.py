@@ -96,6 +96,19 @@ def test_element_serialization_roundtrip(b2):
         x = random_element(b2, rng)
         assert parse_element(serialize_element(x)) == x
     assert parse_element(serialize_element(YtElement.zero())) == YtElement.zero()
+    # the unit monomial serializes as "1", and "1" parses back to it
+    with_unit = YtElement.unit().scale(TPoly.t_power(2)) + random_element(b2, rng)
+    assert parse_element(serialize_element(with_unit)) == with_unit
+
+
+def test_unit_and_empty_exponent_maps():
+    for parse in (parse_basis_monomial, parse_rep_monomial):
+        assert parse("1") == parse(" 1 ") == Monomial.unit()
+        for text in ("", "  ", "1 1"):
+            with pytest.raises(ParseError):
+                parse(text)
+    with pytest.raises(ParseError):
+        parse_basis_monomial("1 Y[1,0]")
 
 
 def test_tpoly_serialization_roundtrip():

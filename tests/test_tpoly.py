@@ -44,6 +44,11 @@ def test_coerce_and_equality_with_ints():
     assert TPoly.coerce(2) * TPoly.t_power(1) == TPoly({1: 2})
 
 
+def test_constant_hashes_as_its_integer():
+    assert 1 in {ONE} and 0 in {ZERO}
+    assert {TPoly.const(3): "x"}[3] == "x"
+
+
 @given(tpolys, tpolys)
 def test_mul_commutes(p, q):
     assert p * q == q * p
