@@ -40,14 +40,7 @@ from .errors import (
     QtcharError,
 )
 from .screening import e_it, f_it, ft_sl2, in_kernel, in_kernel_all, s_it
-from .sl2 import (
-    Segment,
-    classic_L,
-    decompose_segments,
-    ft_segment,
-    is_irregular,
-    sl2_algebra,
-)
+from .sl2 import classic_L, decompose_segments, ft_segment, is_irregular, sl2_algebra
 from .tpoly import TPoly
 
 

@@ -78,36 +78,18 @@ class CartanMatrix:
     def nodes(self):
         return range(1, self.n + 1)
 
-    def components(self):
-        """Connected components of the Dynkin graph, as lists of 1-based nodes."""
-        seen = set()
-        comps = []
-        for start in self.nodes():
-            if start in seen:
-                continue
-            block = []
-            stack = [start]
-            seen.add(start)
-            while stack:
-                i = stack.pop()
-                block.append(i)
-                for j in self.nodes():
-                    if j not in seen and i != j and self.c(i, j) != 0:
-                        seen.add(j)
-                        stack.append(j)
-            comps.append(sorted(block))
-        return comps
-
 
 def _symmetrizers(cm: CartanMatrix):
     """Positive integers r_i with r_i C_{i,j} = r_j C_{j,i}, gcd 1 per component."""
     ratio = {}
-    for block in cm.components():
-        ratio[block[0]] = Fraction(1)
-        stack = [block[0]]
+    for start in cm.nodes():
+        if start in ratio:
+            continue
+        ratio[start] = Fraction(1)
+        block, stack = [start], [start]  # the Dynkin component of start
         while stack:
             i = stack.pop()
-            for j in block:
+            for j in cm.nodes():
                 if i == j or cm.c(i, j) == 0:
                     continue
                 want = ratio[i] * Fraction(cm.c(i, j), cm.c(j, i))
@@ -116,6 +98,7 @@ def _symmetrizers(cm: CartanMatrix):
                         raise NotSymmetrizable("inconsistent symmetrizer ratios")
                 else:
                     ratio[j] = want
+                    block.append(j)
                     stack.append(j)
         scale = 1
         for j in block:
@@ -214,10 +197,16 @@ class InvCartanSeries:
 
     over those other terms, and the right side reads only higher levels of
     row a.  Above s = -min r every coefficient is 0, so each row is filled
-    from that level down, lazily and with integer arithmetic only.  A row
-    is one flat list: c~_ab(s) sits at pad + (-min r - s) n + b - 1, behind
-    pad zeros that stand for the levels above.  Not thread-safe: the
-    package starts no threads, and a lookup extends its row in place.
+    from that level down, lazily, one level at a time and with integer
+    arithmetic only.  A row is one flat list: c~_ab(s) sits at
+    pad + (-min r - s) n + b - 1, behind pad zeros that stand for the levels
+    above.  Every term the recurrence reads lies less than pad back, so past
+    the entry of the 1 the last pad entries of a row determine the rest:
+    once they repeat an earlier window, the row is periodic from there on
+    (2 max(r) h^v levels on a simple type, but found here, not assumed), it
+    stops growing, and deeper lookups wrap into its last period.  Not
+    thread-safe: the package starts no threads, and a lookup extends its
+    row in place.
     """
 
     def __init__(self, cartan: SymmetrizedCartan):
@@ -233,6 +222,8 @@ class InvCartanSeries:
         self._pad = n * (1 + max(dist for terms in self._terms for dist, _ in terms) // n)
         self._rows = [[0] * self._pad for _ in range(n)]
         self._ones = [self._pad + (r[a] + self._top) * n + a for a in range(n)]
+        self._windows = [{} for _ in range(n)]  # per row: last pad entries -> row length
+        self._periods = [None] * n  # per row, once found: (start, period) in flat positions
 
     def entry_coeff(self, a: int, b: int, r: int) -> int:
         """Coefficient of z^r in the series of C~(z)_{a,b}."""
@@ -240,13 +231,21 @@ class InvCartanSeries:
             return 0
         p = self._pad + (self._top - r) * self._n + b - 1
         row = self._rows[a - 1]
-        if p >= len(row):
-            terms, n, one = self._terms, self._n, self._ones[a - 1]
-            for q in range(len(row), p + 1):
+        terms, n, pad, one = self._terms, self._n, self._pad, self._ones[a - 1]
+        while p >= len(row):
+            if self._periods[a - 1]:  # row[q + period] = row[q] for q >= start
+                start, period = self._periods[a - 1]
+                return row[start + (p - start) % period]
+            for q in range(len(row), len(row) + n):
                 v = 1 if q == one else 0
                 for dist, c in terms[q % n]:
                     v -= c * row[q - dist]
                 row.append(v)
+            if len(row) - pad > one:
+                first = self._windows[a - 1].setdefault(tuple(row[-pad:]), len(row))
+                if first < len(row):
+                    self._periods[a - 1] = (first, len(row) - first)
+                    self._windows[a - 1] = None
         return row[p]
 
 

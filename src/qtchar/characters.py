@@ -25,8 +25,10 @@ from .tpoly import ONE, TPoly, ZERO
 class Budget:
     """Resource limits for the frontier computation.
 
-    max_a_depth is an optional cap on the A-depth; None leaves only the exact
-    bound 2<wt(m_plus), rho^v>, which no correct run can pass.
+    max_a_depth is an optional cap on the A-depth.  The character of m_plus
+    reaches exactly depth_bound(m_plus) = 2<wt(m_plus), rho^v>, so
+    t_algorithm fails up front when the cap is below it; None leaves only
+    that bound, which no correct run can pass.
     """
 
     max_monomials: int = 200000
@@ -148,13 +150,19 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
     TPolys once, when the monomial is processed.  A non-dominant monomial
     must receive the same value from every node where it has a negative
     exponent; disagreement aborts loudly, and so does an A-depth past the
-    bound of depth_bound.  After the loop the depths are decoded one at a
-    time, shallowest first, each sorted by sortkey and its integers then
-    released, so the terms come in (A-depth, sortkey) order.
+    bound of depth_bound.  A max_a_depth below that bound fails before the
+    loop, since the result reaches the bound.  After the loop the depths
+    are decoded one at a time, shallowest first, each sorted by sortkey and
+    its integers then released, so the terms come in (A-depth, sortkey)
+    order.
     """
     if not m_plus.is_dominant():
         raise NotDominant(f"seed {m_plus} is not dominant")
     bound = _depth_bound_in_budget(alg, m_plus, budget)
+    if budget.max_a_depth is not None and budget.max_a_depth < bound:
+        raise BudgetExceeded(
+            f"{m_plus} reaches A-depth {bound}, more than the budget {budget.max_a_depth}"
+        )
     code = _Packing(alg.cartan.nodes(), max((abs(e) for _, e in m_plus.items()), default=0) + bound)
     x_plus = code.encode(m_plus)
     acc = {}  # packed monomial -> {node i: {t-exponent: integer coefficient}}
@@ -162,8 +170,6 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
     buckets = {0: [x_plus]}  # A-depth -> the packed monomials discovered there
     levels = []  # per processed depth, (packed m, s(m)) for each nonzero s(m)
     found = 1
-    cap = budget.max_a_depth
-    limit = bound if cap is None else min(bound, cap)
     while buckets:
         depth_m = min(buckets)
         level = []
@@ -200,15 +206,13 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
                                          for dl, dw, coeff in lift_it(alg, i, code.decode(x))]
                 for delta, depth_w, coeff in lift:
                     depth = depth_m + depth_w
-                    if depth > limit:
-                        if depth > bound:  # name the first term past the bound in full
-                            m = code.decode(x)
-                            mr = next(m.times(dl) for dl, dw, _ in lift_it(alg, i, m)
-                                      if depth_m + dw > bound)
-                            raise InternalInconsistency(
-                                f"A-depth {depth} of {mr} exceeds the bound {bound}"
-                            )
-                        raise BudgetExceeded(f"A-depth {depth} exceeds budget {cap}")
+                    if depth > bound:  # name the first term past the bound in full
+                        m = code.decode(x)
+                        mr = next(m.times(dl) for dl, dw, _ in lift_it(alg, i, m)
+                                  if depth_m + dw > bound)
+                        raise InternalInconsistency(
+                            f"A-depth {depth} of {mr} exceeds the bound {bound}"
+                        )
                     mr = x + delta
                     d = acc.get(mr)
                     if d is None:  # mr is new: every processed monomial is shallower

@@ -11,10 +11,11 @@ left to right in the twisted algebra:
                  as a plain exponent map, with no commutation t-powers
 
 Indices and exponents are ASCII integers of at most errors.MAX_DIGITS digits.
+The lone token 1 is the unit in every grammar here.
 
 Serialized elements carry each basis monomial as its plain exponent map
 (the normal-ordered string, "1" for the unit), so parse(serialize(x)) == x
-exactly.  Empty exponent-map text is a parse error, not the unit.
+exactly.  Empty text is a parse error, not the unit.
 """
 
 from __future__ import annotations
@@ -62,13 +63,10 @@ def _factor_exponents(alg: YtAlgebra, factor) -> Monomial:
 
 
 def parse_monomial(alg: YtAlgebra, text: str) -> YtElement:
-    """Evaluate a monomial string to a single-term element."""
-    toks = text.split()
-    if not toks:
-        raise ParseError("empty monomial")
+    """Evaluate a monomial string to a single-term element; "1" is the unit."""
     result = YtElement.unit()
     group = None  # exponent dict while inside : ... :
-    for tok in toks:
+    for tok in _exponent_map_tokens(text):
         if tok == ":":
             if group is None:
                 group = {}
@@ -104,7 +102,7 @@ def parse_element_lines(alg: YtAlgebra, text: str) -> YtElement:
 
 
 def _exponent_map_tokens(text: str) -> list:
-    """The factors of an exponent-map text; none for the lone unit "1"."""
+    """The factors of a monomial text; none for the lone unit "1"."""
     toks = text.split()
     if not toks:
         raise ParseError("empty monomial")

@@ -155,10 +155,10 @@ def ft_sl2(alg: YtAlgebra, m: Monomial) -> list:
         terms = {(): {0: 1}}  # w as sorted (level, exponent) pairs -> {t-exponent: integer}
         y = {}  # level -> exponent of the segments combined so far
         for seg in decompose_segments(m):
-            s = {l: 1 for l in seg.levels()}
-            top = seg.top
+            s = {l: 1 for l in seg}
+            top = seg[-1]
             v_js = [tuple((l, 1) for l in range(top + 3 - 2 * j, top + 2, 2))
-                    for j in range(seg.count + 1)]
+                    for j in range(len(seg) + 1)]
             out = {}
             for w, p in terms.items():
                 wd = dict(w)

@@ -1,7 +1,7 @@
 """Closed-form and classical rank-1 theory.
 
 Dominant rank-1 monomials decompose uniquely into 2-segments (arithmetic
-progressions of step 2); the deformed character of a segment has an explicit
+progressions of step 2, each held as the range of its levels); the deformed character of a segment has an explicit
 descending A^-1-string expansion.  screening.ft_sl2 builds every rank-1
 deformed character from these strings, combined with the local twist, in
 A-string form; ft_segment is the same segment character as a twisted
@@ -27,65 +27,28 @@ def sl2_algebra() -> YtAlgebra:
     return _SL2
 
 
-class Segment:
-    """The 2-segment {start, start+2, ..., start+2(count-1)}."""
+def decompose_segments(m: Monomial):
+    """Unique decomposition of a dominant rank-1 monomial into 2-segments.
 
-    __slots__ = ("start", "count")
-
-    def __init__(self, start: int, count: int):
-        if count < 1:
-            raise ValueError("segment needs at least one level")
-        self.start = start
-        self.count = count
-
-    @property
-    def top(self) -> int:
-        return self.start + 2 * (self.count - 1)
-
-    def levels(self):
-        return range(self.start, self.top + 1, 2)
-
-    def monomial(self) -> Monomial:
-        return Monomial({(1, l): 1 for l in self.levels()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Segment)
-            and (self.start, self.count) == (other.start, other.count)
-        )
-
-    def __hash__(self):
-        return hash((self.start, self.count))
-
-    def __repr__(self):
-        return f"Segment({self.start}, {self.count})"
-
-
-def _counts(m: Monomial) -> dict:
-    counts = {}
+    Each segment {a, a + 2, ..., top} is range(a, top + 2, 2).  Greedy:
+    from the lowest remaining level, take the segment that runs as far as
+    it goes.  The segments come out ordered by (start, -length): the lowest
+    remaining level never drops, and a later run from the same level is no
+    longer.  They are pairwise in general position.  Two segments are in
+    special position when their union is a 2-segment properly containing
+    each.  Take such a pair with [a, b] chosen before S2: S2 starts at or
+    above a, so it must reach past b, and being a segment together with
+    [a, b] it contains b + 2.  But [a, b] stopped at b because b + 2 was no
+    longer remaining, so no later segment contains it.  Hence no pair needs
+    merging.
+    """
+    remaining = {}
     for (i, l), e in m.items():
         if i != 1:
             raise ValueError("rank-1 monomial expected (node 1 only)")
         if e < 0:
             raise NotDominant(f"negative exponent at level {l}")
-        counts[l] = e
-    return counts
-
-
-def decompose_segments(m: Monomial):
-    """Unique decomposition of a dominant rank-1 monomial into 2-segments.
-
-    Greedy: from the lowest remaining level, take the segment that runs as
-    far as it goes.  The segments come out ordered by (start, -count): the
-    lowest remaining level never drops, and a later run from the same level
-    is no longer.  They are pairwise in general position.  Two segments are in special position
-    when their union is a 2-segment properly containing each.  Take such a
-    pair with [a, b] chosen before S2: S2 starts at or above a, so it must
-    reach past b, and being a segment together with [a, b] it contains
-    b + 2.  But [a, b] stopped at b because b + 2 was no longer remaining,
-    so no later segment contains it.  Hence no pair needs merging.
-    """
-    remaining = _counts(m)
+        remaining[l] = e
     segments = []
     while remaining:
         l0 = min(remaining)
@@ -95,7 +58,7 @@ def decompose_segments(m: Monomial):
             if remaining[l] == 0:
                 del remaining[l]
             l += 2
-        segments.append(Segment(l0, (l - l0) // 2))
+        segments.append(range(l0, l, 2))
     return segments
 
 
@@ -104,7 +67,7 @@ def classic_L(m: Monomial) -> dict:
     segments = decompose_segments(m)
     total = {Monomial.unit(): 1}
     for seg in segments:
-        l, k = seg.start, seg.count - 1
+        l, k = seg.start, len(seg) - 1
         part = {}
         for j in range(k + 2):
             d = {}
@@ -126,24 +89,24 @@ def is_irregular(m: Monomial) -> bool:
     """True iff some segment fits in another both in place and shifted by 2."""
     segments = decompose_segments(m)
     for a, s1 in enumerate(segments):
-        set1 = frozenset(s1.levels())
+        set1 = frozenset(s1)
         shifted = frozenset(l + 2 for l in set1)
         for b, s2 in enumerate(segments):
             if a == b:
                 continue
-            set2 = frozenset(s2.levels())
+            set2 = frozenset(s2)
             if set1 <= set2 and shifted <= set2:
                 return True
     return False
 
 
-def ft_segment(alg: YtAlgebra, seg: Segment) -> YtElement:
+def ft_segment(alg: YtAlgebra, seg: range) -> YtElement:
     """Deformed character of a 2-segment: descending A^-1 strings with t^j."""
-    m_elem = YtElement.from_monomial(seg.monomial())
+    m_elem = YtElement.from_monomial(Monomial({(1, l): 1 for l in seg}))
     bracket = YtElement.unit()
     string = YtElement.unit()
-    for j in range(1, seg.count + 1):
-        string = alg.mul(string, alg.a_inv_elem(1, seg.top + 3 - 2 * j))
+    for j in range(1, len(seg) + 1):
+        string = alg.mul(string, alg.a_inv_elem(1, seg[-1] + 3 - 2 * j))
         bracket.add_scaled(string, TPoly.t_power(j))
     return alg.mul(m_elem, bracket)
 

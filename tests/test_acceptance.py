@@ -17,7 +17,7 @@ from qtchar.cartan import cartan_from_json
 from qtchar.characters import RepElement, fundamental, lt_and_kl, star_product
 from qtchar.classical import classical_algorithm
 from qtchar.screening import f_it
-from qtchar.sl2 import Segment, classic_L, sl2_algebra
+from qtchar.sl2 import classic_L, sl2_algebra
 from qtchar.suites import FIXTURE_KEYS, KERNEL_TYPES, fixture_element
 from qtchar.tpoly import TPoly
 
@@ -51,8 +51,8 @@ def test_criterion_2_classical_oracle():
     s2 = sl2_algebra()
     for start in range(0, 5):
         for count in range(1, 6):
-            seg = Segment(2 * start, count)
-            assert f_it(s2, 1, seg.monomial()).at_one() == classic_L(seg.monomial())
+            m = Monomial({(1, l): 1 for l in range(2 * start, 2 * start + 2 * count, 2)})
+            assert f_it(s2, 1, m).at_one() == classic_L(m)
 
 
 def test_criterion_3_kernel_suite():

@@ -65,6 +65,25 @@ def test_inverse_series_to_depth_60(name):
                 assert total == (1 if (i == j and r == 0) else 0)
 
 
+@pytest.mark.parametrize("name", ["B2", "G2", "E8", pytest.param(_blocks("A1", "G2"), id="A1xG2")])
+def test_inverse_series_at_far_levels(name):
+    """Rows wrap at their period, so a lookup 10^30 levels down stays exact and
+    no row grows with the depth asked for.  The 10^6 lookups and the row check
+    come first: a row filled level by level to there holds about n 10^6 entries."""
+    alg = algebra(name)
+    n = alg.cartan.n
+    for base in (-10**6, -10**30):
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                for r in range(base - 6, base + 1):
+                    total = 0
+                    for k in range(1, n + 1):
+                        for e, c in alg.cartan.cz[i - 1][k - 1].items():
+                            total += c * alg.tilde(k, j, r - e)
+                    assert total == 0
+        assert max(len(row) for row in alg.series._rows) <= 2000
+
+
 def _det(m):
     """Determinant by the permutation expansion."""
     n = len(m)
@@ -141,6 +160,8 @@ def test_symmetrizers():
     assert algebra("C3").cartan.r == [2, 2, 1]
     assert algebra("G2").cartan.r == [1, 3]
     assert algebra("A3").cartan.r == [1, 1, 1]
+    # normalized per component: gcd 1 within G2, not only overall
+    assert validate_cartan([[2, 0, 0], [0, 2, -1], [0, -3, 2]]).r == [1, 3, 1]
 
 
 def test_named_types_shapes():
@@ -252,9 +273,3 @@ def test_simply_laced_flag():
     assert algebra("D4").cartan.is_simply_laced()
     assert not algebra("B2").cartan.is_simply_laced()
     assert not algebra("G2").cartan.is_simply_laced()
-
-
-def test_components():
-    cm = CartanMatrix([[2, 0], [0, 2]])
-    assert cm.components() == [[1], [2]]
-    assert CartanMatrix(named_cartan("A3")).components() == [[1, 2, 3]]

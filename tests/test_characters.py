@@ -167,6 +167,38 @@ def test_exact_depth_bound_is_reached(name, node, bound):
     assert max(alg.a_depth(m, seed) for m in result.monomials()) == bound
 
 
+@pytest.mark.parametrize("name, seed", [
+    ("A1", "Y[1,0]^2 Y[1,2]"),  # irregular
+    ("A1", "Y[1,0] Y[1,4]"),
+    ("A2", "Y[1,0] Y[2,1]"),
+    ("A3", "Y[1,0]^2 Y[3,4]"),
+    ("B2", "Y[2,0] Y[1,5]"),
+    ("C3", "Y[3,0] Y[1,2]"),
+    ("G2", "Y[1,0] Y[2,2]"),
+])
+def test_depth_bound_is_reached_past_fundamentals(name, seed):
+    alg = algebra(name)
+    m = parse_basis_monomial(seed)
+    result = t_algorithm(alg, m)
+    assert max(alg.a_depth(x, m) for x in result.monomials()) == alg.depth_bound(m)
+
+
+def test_depth_budget_is_checked_before_the_loop(monkeypatch):
+    """The result reaches depth_bound, so a lower max_a_depth fails up front."""
+    b2 = algebra("B2")
+    m = parse_basis_monomial("Y[2,0] Y[1,5]")
+    bound = b2.depth_bound(m)
+
+    def no_lift(alg, i, m):
+        raise AssertionError("the frontier loop ran")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(characters, "lift_it", no_lift)
+        with pytest.raises(BudgetExceeded, match=f"A-depth {bound}, more than the budget {bound - 1}"):
+            t_algorithm(b2, m, Budget(max_a_depth=bound - 1))
+    assert t_algorithm(b2, m, Budget(max_a_depth=bound)) == t_algorithm(b2, m)
+
+
 @pytest.mark.parametrize("node", [0, -1, 3])
 def test_node_outside_rank_is_parse_error(a2, node):
     """Node 0 must not read node n's height, nor node 3 run past the list."""

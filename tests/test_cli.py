@@ -195,6 +195,22 @@ def test_seed_past_monomial_budget_exit_4(capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("budget exceeded")
 
 
+FAR = "2" + "0" * 89  # a 90-digit level
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["product", "--cartan", "E8", "X[1,0]", f"X[1,{FAR}]"],
+        ["kl", "--cartan", "A2", f"Y[1,0] Y[1,{FAR}]"],
+    ],
+)
+def test_far_levels_exit_0(capsys, argv):
+    """The bicharacter between levels this far apart reads wrapped series rows."""
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == "" and json.loads(out)
+
+
 def _refuse(*_args):
     raise AssertionError("a Cartan matrix past MAX_RANK was built or eliminated")
 

@@ -111,6 +111,15 @@ def test_unit_and_empty_exponent_maps():
         parse_basis_monomial("1 Y[1,0]")
 
 
+def test_twisted_grammar_reads_the_unit(sl2):
+    assert parse_monomial(sl2, "1") == YtElement.unit()
+    assert parse_element_lines(sl2, "1\nY[1,0]") == YtElement({
+        Monomial.unit(): ONE, Monomial.y(1, 0): ONE})
+    for text in ("", "  ", "1 1"):
+        with pytest.raises(ParseError):
+            parse_monomial(sl2, text)
+
+
 def test_tpoly_serialization_roundtrip():
     p = TPoly({-2: 3, 0: -1, 5: 2})
     assert parse_tpoly(serialize_tpoly(p)) == p

@@ -7,7 +7,6 @@ from qtchar.algebra import Monomial
 from qtchar.errors import NotDominant
 from qtchar.screening import e_it, f_it
 from qtchar.sl2 import (
-    Segment,
     classic_L,
     decompose_segments,
     ft_segment,
@@ -24,29 +23,20 @@ def mono(*levels):
     return Monomial(d)
 
 
-def test_segment_shape():
-    s = Segment(2, 3)
-    assert s.top == 6
-    assert list(s.levels()) == [2, 4, 6]
-    assert s.monomial() == mono(2, 4, 6)
-    with pytest.raises(ValueError):
-        Segment(0, 0)
-
-
 def test_decompose_simple():
-    assert decompose_segments(mono(0, 2, 4)) == [Segment(0, 3)]
-    assert decompose_segments(mono(0, 4)) == [Segment(0, 1), Segment(4, 1)]
-    assert decompose_segments(mono(0, 0, 2)) == [Segment(0, 2), Segment(0, 1)]
+    assert decompose_segments(mono(0, 2, 4)) == [range(0, 6, 2)]
+    assert decompose_segments(mono(0, 4)) == [range(0, 2, 2), range(4, 6, 2)]
+    assert decompose_segments(mono(0, 0, 2)) == [range(0, 4, 2), range(0, 2, 2)]
 
 
 def test_decompose_merges_special_position():
     # {0,2} and {2,4} sit in special position: union {0,2,4}, meet {2}
-    assert decompose_segments(mono(0, 2, 2, 4)) == [Segment(0, 3), Segment(2, 1)]
+    assert decompose_segments(mono(0, 2, 2, 4)) == [range(0, 6, 2), range(2, 4, 2)]
 
 
 def _special_pair(s1, s2):
     """The union of the two segments is a 2-segment properly containing each."""
-    a, b = set(s1.levels()), set(s2.levels())
+    a, b = set(s1), set(s2)
     u = a | b
     lo, hi = min(u), max(u)
     return u == set(range(lo, hi + 1, 2)) and u > a and u > b
@@ -57,9 +47,9 @@ def test_decompose_is_in_general_position_and_covers_every_level():
     for degree in range(6):
         for levels in combinations_with_replacement(range(11), degree):
             segments = decompose_segments(mono(*levels))
-            covered = sorted(l for seg in segments for l in seg.levels())
+            covered = sorted(l for seg in segments for l in seg)
             assert covered == list(levels)
-            assert segments == sorted(segments, key=lambda s: (s.start, -s.count))
+            assert segments == sorted(segments, key=lambda s: (s.start, -len(s)))
             for k, s1 in enumerate(segments):
                 for s2 in segments[k + 1:]:
                     assert not _special_pair(s1, s2), (levels, s1, s2)
@@ -89,18 +79,18 @@ def test_classic_L_single_y():
 
 def test_classic_L_segment_size():
     for k in range(4):
-        L = classic_L(Segment(0, k + 1).monomial())
+        L = classic_L(mono(*range(0, 2 * k + 2, 2)))
         assert sum(L.values()) == k + 2
         assert all(c == 1 for c in L.values())
 
 
 def test_ft_segment_matches_classic_at_t1(sl2):
     for start, count in [(0, 1), (0, 2), (2, 3), (-4, 4)]:
-        seg = Segment(start, count)
+        seg = range(start, start + 2 * count, 2)
         f = ft_segment(sl2, seg)
-        assert f.coeff(seg.monomial()) == ONE
-        assert f.dominant_part() == {seg.monomial(): ONE}
-        assert f.at_one() == classic_L(seg.monomial())
+        assert f.coeff(mono(*seg)) == ONE
+        assert f.dominant_part() == {mono(*seg): ONE}
+        assert f.at_one() == classic_L(mono(*seg))
 
 
 def test_ft_segment_is_f_it_at_t_level():
@@ -109,8 +99,8 @@ def test_ft_segment_is_f_it_at_t_level():
     s2 = sl2_algebra()
     for start in range(-4, 5):
         for count in range(1, 6):
-            seg = Segment(start, count)
-            assert ft_segment(s2, seg) == f_it(s2, 1, seg.monomial()), seg
+            seg = range(start, start + 2 * count, 2)
+            assert ft_segment(s2, seg) == f_it(s2, 1, mono(*seg)), seg
 
 
 def test_et_leading_coefficient_is_one():
