@@ -1,14 +1,7 @@
 """Exact q-characters and t-deformed q,t-characters for finite-type Cartan data."""
 
 from .algebra import Monomial, YtAlgebra, YtElement
-from .cartan import (
-    CartanMatrix,
-    InvCartanSeries,
-    SymmetrizedCartan,
-    cartan_from_json,
-    named_cartan,
-    validate_cartan,
-)
+from .cartan import InvCartanSeries, SymmetrizedCartan, cartan_from_json, named_cartan
 from .characters import (
     Budget,
     RepElement,
@@ -52,7 +45,7 @@ def algebra(cartan) -> YtAlgebra:
         return YtAlgebra(cartan)
     if isinstance(cartan, (str, dict)):
         return YtAlgebra(cartan_from_json(cartan))
-    return YtAlgebra(validate_cartan(cartan))
+    return YtAlgebra(SymmetrizedCartan(cartan))
 
 
 __all__ = [name for name in dir() if not name.startswith("_")]

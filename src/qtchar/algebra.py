@@ -79,9 +79,6 @@ class Monomial:
                 del d[k]  # v = 0 with e != 0 means k was a key of self
         return Monomial.from_sorted(tuple(sorted(d.items())))
 
-    def power(self, n: int) -> "Monomial":
-        return Monomial({k: n * e for k, e in self.data})
-
     def shift(self, dl: int) -> "Monomial":
         return Monomial({(i, l + dl): e for (i, l), e in self.data})
 
@@ -401,22 +398,12 @@ class YtAlgebra:
                 entries.extend((j, s, 1) for s in range(cji + 1, -cji, 2))
         return tuple(entries)
 
-    def a_expand(self, i: int, l: int) -> Monomial:
-        """Y-exponent map of A_{i,l}."""
-        return Monomial({(j, l + dl): -e for j, dl, e in self._a_inv[i]})
-
-    def a_expand_inv(self, i: int, l: int) -> Monomial:
-        return Monomial({(j, l + dl): e for j, dl, e in self._a_inv[i]})
-
-    def a_inv_elem(self, i: int, l: int) -> YtElement:
-        """A_{i,l}^-1 as an element (its Y-expansion is already normal ordered)."""
-        return YtElement.from_monomial(self.a_expand_inv(i, l))
-
-    def a_elem(self, i: int, l: int) -> YtElement:
-        return YtElement.from_monomial(self.a_expand(i, l))
-
     def a_monomial_expand(self, v: dict) -> Monomial:
-        """Y-exponent map of prod A_{i,l}^-v_{i,l}."""
+        """Y-exponent map of prod A_{i,l}^-v_{i,l}; {(i, l): 1} gives A_{i,l}^-1.
+
+        Each such map is already normal ordered, so YtElement.from_monomial
+        makes it an element.
+        """
         d = {}
         for (i, l), e in v.items():
             for j, dl, de in self._a_inv[i]:
@@ -475,14 +462,18 @@ class YtAlgebra:
         weight lambda has weight at least w0 lambda (Frenkel-Mukhin).
         ParseError for a node outside 1..n.
         """
-        n = self.cartan.n
-        for (i, _), _e in m_plus.items():
-            if not 1 <= i <= n:
-                raise ParseError(f"node {i} outside rank-{n} algebra")
+        self.within_rank(m_plus)
         bound = 2 * sum(self.cartan.heights[i - 1] * e for (i, _), e in m_plus.items())
         if bound.denominator != 1:
             raise InternalInconsistency(f"2<wt({m_plus}), rho^v> = {bound} is not an integer")
         return int(bound)
+
+    def within_rank(self, m: Monomial) -> Monomial:
+        """m itself, once every node in it is a node of this algebra; else ParseError."""
+        for (i, _), _e in m.items():
+            if i not in self.cartan.nodes():
+                raise ParseError(f"node {i} outside rank-{self.cartan.n} algebra")
+        return m
 
     def leq(self, m: Monomial, mp: Monomial) -> bool:
         """m <= m' in the partial order generated by the A_{i,l}^-1."""

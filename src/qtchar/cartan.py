@@ -16,7 +16,7 @@ Nodes are 1-based throughout the public API.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     MAX_RANK,
@@ -44,43 +44,11 @@ def quantum_integer(n: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-class CartanMatrix:
-    """Generalized Cartan matrix: integer entries checked against the axioms."""
+def _symmetrizers(cm: SymmetrizedCartan):
+    """Positive integers r_i with r_i C_{i,j} = r_j C_{j,i}, gcd 1 per component.
 
-    def __init__(self, entries):
-        try:
-            entries = [list(row) for row in entries]
-        except TypeError:
-            raise ParseError("Cartan matrix must be a list of rows") from None
-        for i, row in enumerate(entries):
-            for j, x in enumerate(row):
-                if type(x) is not int:
-                    raise ParseError(f"matrix entry ({i + 1},{j + 1}) is {x!r}, not an integer")
-        n = len(entries)
-        if n == 0 or any(len(row) != n for row in entries):
-            raise NotCartan("matrix must be square and nonempty")
-        for i in range(n):
-            if entries[i][i] != 2:
-                raise NotCartan(f"diagonal entry ({i + 1},{i + 1}) is {entries[i][i]}, not 2")
-            for j in range(n):
-                if i != j:
-                    if entries[i][j] > 0:
-                        raise NotCartan(f"off-diagonal entry ({i + 1},{j + 1}) is positive")
-                    if (entries[i][j] == 0) != (entries[j][i] == 0):
-                        raise NotCartan(f"zero pattern not symmetric at ({i + 1},{j + 1})")
-        self.n = n
-        self.entries = entries
-
-    def c(self, i: int, j: int) -> int:
-        """Entry C_{i,j}, 1-based."""
-        return self.entries[i - 1][j - 1]
-
-    def nodes(self):
-        return range(1, self.n + 1)
-
-
-def _symmetrizers(cm: CartanMatrix):
-    """Positive integers r_i with r_i C_{i,j} = r_j C_{j,i}, gcd 1 per component."""
+    The search checks every edge of a component, and no edge joins two.
+    """
     ratio = {}
     for start in cm.nodes():
         if start in ratio:
@@ -100,22 +68,12 @@ def _symmetrizers(cm: CartanMatrix):
                     ratio[j] = want
                     block.append(j)
                     stack.append(j)
-        scale = 1
-        for j in block:
-            scale = scale * ratio[j].denominator // gcd(scale, ratio[j].denominator)
+        scale = lcm(*(ratio[j].denominator for j in block))
         ints = {j: int(ratio[j] * scale) for j in block}
-        g = 0
-        for v in ints.values():
-            g = gcd(g, v)
+        g = gcd(*ints.values())
         for j in block:
             ratio[j] = ints[j] // g
-    r = [ratio[i] for i in cm.nodes()]
-    # global consistency check (catches non-symmetrizable off-tree relations)
-    for i in cm.nodes():
-        for j in cm.nodes():
-            if r[i - 1] * cm.c(i, j) != r[j - 1] * cm.c(j, i):
-                raise NotSymmetrizable("r_i C_ij != r_j C_ji")
-    return r
+    return [ratio[i] for i in cm.nodes()]
 
 
 def _check_rank(n: int):
@@ -145,11 +103,12 @@ def _inverse(entries):
     return [row[n:] for row in rows]
 
 
-class SymmetrizedCartan(CartanMatrix):
+class SymmetrizedCartan:
     """Validated finite-type Cartan matrix with r_i, C(z) and the heights.
 
-    Construction checks the Cartan axioms and the rank limit MAX_RANK (as
-    BudgetExceeded), finds the symmetrizers and inverts C, which raises
+    Construction checks, in this order: integer entries (ParseError), the
+    Cartan axioms (NotCartan), the rank limit MAX_RANK (BudgetExceeded) and
+    the symmetrizers (NotSymmetrizable); then it inverts C, which raises
     NotFiniteType unless D C is positive definite.  heights[k - 1] =
     ht(omega_k) = <omega_k, rho^v>, the k-th column sum of C^-1: A_{i,l}
     has weight alpha_i = sum_j C_ji omega_j, so omega_k has root
@@ -157,15 +116,40 @@ class SymmetrizedCartan(CartanMatrix):
     """
 
     def __init__(self, entries):
-        super().__init__(entries)
-        _check_rank(self.n)
+        try:
+            entries = [list(row) for row in entries]
+        except TypeError:
+            raise ParseError("Cartan matrix must be a list of rows") from None
+        for i, row in enumerate(entries):
+            for j, x in enumerate(row):
+                if type(x) is not int:
+                    raise ParseError(f"matrix entry ({i + 1},{j + 1}) is {x!r}, not an integer")
+        n = len(entries)
+        if n == 0 or any(len(row) != n for row in entries):
+            raise NotCartan("matrix must be square and nonempty")
+        for i in range(n):
+            if entries[i][i] != 2:
+                raise NotCartan(f"diagonal entry ({i + 1},{i + 1}) is {entries[i][i]}, not 2")
+            for j in range(n):
+                if i != j:
+                    if entries[i][j] > 0:
+                        raise NotCartan(f"off-diagonal entry ({i + 1},{j + 1}) is positive")
+                    if (entries[i][j] == 0) != (entries[j][i] == 0):
+                        raise NotCartan(f"zero pattern not symmetric at ({i + 1},{j + 1})")
+        _check_rank(n)
+        self.n = n
+        self.entries = entries
         self.r = _symmetrizers(self)
-        self.cz = [
-            [{r: 1, -r: 1} if i == j else quantum_integer(c) for j, c in enumerate(row)]
-            for i, (r, row) in enumerate(zip(self.r, self.entries))
-        ]
-        inverse = _inverse(self.entries)
-        self.heights = [sum(row[k] for row in inverse) for k in range(self.n)]
+        self.cz = [[{r: 1, -r: 1} if i == j else quantum_integer(c) for j, c in enumerate(row)]
+                   for i, (r, row) in enumerate(zip(self.r, entries))]
+        self.heights = [sum(column) for column in zip(*_inverse(entries))]
+
+    def c(self, i: int, j: int) -> int:
+        """Entry C_{i,j}, 1-based."""
+        return self.entries[i - 1][j - 1]
+
+    def nodes(self):
+        return range(1, self.n + 1)
 
     def ri(self, i):
         return self.r[i - 1]
@@ -174,11 +158,6 @@ class SymmetrizedCartan(CartanMatrix):
         return all(v == 1 for v in self.r) and all(
             self.c(i, j) >= -1 for i in self.nodes() for j in self.nodes() if i != j
         )
-
-
-def validate_cartan(entries) -> SymmetrizedCartan:
-    """Validate a finite-type Cartan matrix and attach r_i, C(z) and the heights."""
-    return SymmetrizedCartan(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +233,18 @@ class InvCartanSeries:
 # ---------------------------------------------------------------------------
 
 
-def _chain(n):
+# the ranks of each named family; past MAX_RANK, A-D are BudgetExceeded, not unknown
+_RANKS = {"A": range(1, MAX_RANK + 1), "B": range(2, MAX_RANK + 1), "C": range(2, MAX_RANK + 1),
+          "D": range(4, MAX_RANK + 1), "E": range(6, 9), "F": (4,), "G": (2,)}
+
+
+def _from_bonds(n, bonds, arrows):
+    """2 I with -1 both ways on each bond (i, j), then C_ij = c for each arrow (i, j): c."""
     m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(n - 1):
-        m[i][i + 1] = m[i + 1][i] = -1
+    for i, j in bonds:
+        m[i - 1][j - 1] = m[j - 1][i - 1] = -1
+    for (i, j), c in arrows.items():
+        m[i - 1][j - 1] = c
     return m
 
 
@@ -268,51 +255,23 @@ def named_cartan(name: str):
     name = name.strip().upper()
     fam, digits = name[:1], name[1:]
     # ASCII only: isdigit() also takes "²", which int() rejects, and "١", read as 1
-    if fam not in tuple("ABCDEFG") or not (digits.isascii() and digits.isdigit()):
+    if fam not in _RANKS or not (digits.isascii() and digits.isdigit()):
         raise ParseError(f"unknown Cartan type {name!r}")
     n = parse_int(digits, f"Cartan type {name[:20]!r}")
     if fam in "ABCD":  # the only families of unbounded rank
         _check_rank(n)
-    if fam == "A" and n >= 1:
-        return _chain(n)
-    if fam == "B" and n >= 2:
-        m = _chain(n)
-        m[n - 2][n - 1] = -2  # long arrow toward the last node
-        return m
-    if fam == "C" and n >= 2:
-        m = _chain(n)
-        m[n - 1][n - 2] = -2
-        return m
-    if fam == "D" and n >= 4:
-        m = _chain(n - 1)
-        for row in m:
-            row.append(0)
-        m.append([0] * n)
-        m[n - 1][n - 1] = 2
-        m[n - 1][n - 3] = m[n - 3][n - 1] = -1
-        m[n - 1][n - 2] = m[n - 2][n - 1] = 0
-        m[n - 2][n - 3] = m[n - 3][n - 2] = -1
-        return m
-    if fam == "E" and n in (6, 7, 8):
-        # branch node 4 carries node 2; chain 1-3-4-5-...-n
-        m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-
-        def join(a, b):
-            m[a - 1][b - 1] = m[b - 1][a - 1] = -1
-
-        join(1, 3)
-        join(3, 4)
-        join(2, 4)
-        for k in range(4, n):
-            join(k, k + 1)
-        return m
-    if fam == "F" and n == 4:
-        m = _chain(4)
-        m[1][2] = -2
-        return m
-    if fam == "G" and n == 2:
-        return [[2, -3], [-1, 2]]
-    raise ParseError(f"unknown Cartan type {name!r}")
+    if n not in _RANKS[fam]:
+        raise ParseError(f"unknown Cartan type {name!r}")
+    chain = [(k, k + 1) for k in range(1, n)]
+    bonds, arrows = {
+        "B": (chain, {(n - 1, n): -2}),  # long arrow toward node n
+        "C": (chain, {(n, n - 1): -2}),
+        "D": (chain[:-1] + [(n - 2, n)], {}),  # the chain to n - 1; node n on node n - 2
+        "E": ([(1, 3), (3, 4), (2, 4)] + chain[3:], {}),  # node 2 on node 4; chain 1-3-4-...-n
+        "F": (chain, {(2, 3): -2}),
+        "G": (chain, {(1, 2): -3}),
+    }.get(fam, (chain, {}))
+    return _from_bonds(n, bonds, arrows)
 
 
 def cartan_from_json(obj) -> SymmetrizedCartan:
@@ -321,11 +280,11 @@ def cartan_from_json(obj) -> SymmetrizedCartan:
     A JSON object must carry exactly one key; matrix entries must be integers.
     """
     if isinstance(obj, str):
-        return validate_cartan(named_cartan(obj))
+        return SymmetrizedCartan(named_cartan(obj))
     if not isinstance(obj, dict):
         raise ParseError("Cartan input must be a name or a JSON object")
     if obj.keys() == {"type"}:
-        return validate_cartan(named_cartan(obj["type"]))
+        return SymmetrizedCartan(named_cartan(obj["type"]))
     if obj.keys() == {"matrix"}:
-        return validate_cartan(obj["matrix"])
+        return SymmetrizedCartan(obj["matrix"])
     raise ParseError(f"Cartan JSON needs exactly one key, 'type' or 'matrix'; got {sorted(obj)}")

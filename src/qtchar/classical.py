@@ -126,9 +126,7 @@ def classical_f_i(alg: YtAlgebra, i: int, m: Monomial) -> dict:
         lift = {}
         for mu, lam in sl2_classical_f(mk).items():
             v = _sl2_factor(mu, mk)
-            target = Monomial.unit()
-            for lv, e in sorted(v.items()):
-                target = target.times(alg.a_expand_inv(i, k + lv * ri).power(e))
+            target = alg.a_monomial_expand({(i, k + lv * ri): e for lv, e in v.items()})
             lift[target] = lift.get(target, 0) + lam
         total = cc_mul(total, lift)
     return total

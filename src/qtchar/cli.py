@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .algebra import Monomial, YtAlgebra, YtElement
+from .algebra import YtAlgebra, YtElement
 from .cartan import cartan_from_json
 from .characters import Budget, RepElement, character_tree, lt_and_kl, star_product, t_algorithm
 from .errors import BudgetExceeded, DomainError, ParseError, QtcharError, parse_int
@@ -58,14 +58,6 @@ def _budget(args) -> Budget:
         raise ParseError(f"--budget-monomials/--budget-depth: {exc}") from None
 
 
-def _within_rank(alg: YtAlgebra, m: Monomial) -> Monomial:
-    """m itself, once every node in it is a node of alg."""
-    for (i, _), _e in m.items():
-        if i not in alg.cartan.nodes():
-            raise ParseError(f"node {i} outside rank-{alg.cartan.n} algebra")
-    return m
-
-
 def _emit(obj):
     print(json.dumps(obj, sort_keys=True, indent=2))
 
@@ -95,7 +87,7 @@ def _dot_tree(vertices, edges) -> str:
 def cmd_tchar(args) -> int:
     alg = _load_algebra(args.cartan)
     budget = _budget(args)
-    seed = _within_rank(alg, parse_basis_monomial(args.seed))
+    seed = alg.within_rank(parse_basis_monomial(args.seed))
     if args.format == "dot":
         print(_dot_tree(*character_tree(alg, seed, budget)))
         return EXIT_OK
@@ -114,7 +106,7 @@ def cmd_tchar(args) -> int:
 def cmd_kl(args) -> int:
     alg = _load_algebra(args.cartan)
     budget = _budget(args)
-    seed = _within_rank(alg, parse_basis_monomial(args.seed))
+    seed = alg.within_rank(parse_basis_monomial(args.seed))
     rows, _ = lt_and_kl(alg, seed, budget)
     payload = {
         "seed": format_basis_monomial(seed),
@@ -140,8 +132,8 @@ def cmd_kl(args) -> int:
 def cmd_product(args) -> int:
     alg = _load_algebra(args.cartan)
     budget = _budget(args)
-    x = RepElement.from_monomial(_within_rank(alg, parse_rep_monomial(args.left)))
-    y = RepElement.from_monomial(_within_rank(alg, parse_rep_monomial(args.right)))
+    x = RepElement.from_monomial(alg.within_rank(parse_rep_monomial(args.left)))
+    y = RepElement.from_monomial(alg.within_rank(parse_rep_monomial(args.right)))
     z = star_product(alg, x, y, budget)
     rows = [(format_rep_monomial(m), p)
             for m, p in sorted(z.items(), key=lambda kv: kv[0].sortkey())]

@@ -55,11 +55,8 @@ def _parse_factor(tok: str):
 
 def _factor_exponents(alg: YtAlgebra, factor) -> Monomial:
     var, i, l, e = factor
-    if i not in alg.cartan.nodes():
-        raise ParseError(f"node {i} outside rank-{alg.cartan.n} algebra")
-    if var == "Y":
-        return Monomial.y(i, l, e)
-    return alg.a_expand_inv(i, l).power(-e)
+    alg.within_rank(Monomial.y(i, l))
+    return Monomial.y(i, l, e) if var == "Y" else alg.a_monomial_expand({(i, l): -e})
 
 
 def parse_monomial(alg: YtAlgebra, text: str) -> YtElement:

@@ -43,12 +43,12 @@ def s_it(alg: YtAlgebra, i: int, x: YtElement) -> dict:
             # reduce the current index into the canonical window, absorbing
             # the A factors into the left coefficient
             while ll >= ri:
-                step = alg.a_elem(i, ll - ri).scale(TPoly.t_power(1))
-                coeff = alg.mul(coeff, step)
+                a = alg.a_monomial_expand({(i, ll - ri): -1})
+                coeff = alg.mul(coeff, YtElement.from_monomial(a, TPoly.t_power(1)))
                 ll -= 2 * ri
             while ll < -ri:
-                step = alg.a_inv_elem(i, ll + ri).scale(TPoly.t_power(-1))
-                coeff = alg.mul(coeff, step)
+                a_inv = alg.a_monomial_expand({(i, ll + ri): 1})
+                coeff = alg.mul(coeff, YtElement.from_monomial(a_inv, TPoly.t_power(-1)))
                 ll += 2 * ri
             out[ll].add_scaled(coeff)
     return out
@@ -75,7 +75,8 @@ def e_it(alg: YtAlgebra, i: int, m: Monomial) -> YtElement:
     for l in m.levels():
         ui = m.u(i, l)
         if ui:
-            bracket = YtElement.unit() + alg.a_inv_elem(i, l + ri).scale(TPoly.t_power(1))
+            a_inv = alg.a_monomial_expand({(i, l + ri): 1})
+            bracket = YtElement.unit() + YtElement.from_monomial(a_inv, TPoly.t_power(1))
             factor = alg.mul(YtElement.from_monomial(Monomial.y(i, l)), bracket)
             for _ in range(ui):
                 acc = alg.mul(acc, factor)

@@ -12,7 +12,7 @@ algebra.
 from __future__ import annotations
 
 from .algebra import Monomial, YtAlgebra, YtElement
-from .cartan import validate_cartan
+from .cartan import SymmetrizedCartan
 from .errors import NotDominant
 from .tpoly import TPoly
 
@@ -23,7 +23,7 @@ def sl2_algebra() -> YtAlgebra:
     """Shared rank-1 algebra instance."""
     global _SL2
     if _SL2 is None:
-        _SL2 = YtAlgebra(validate_cartan([[2]]))
+        _SL2 = YtAlgebra(SymmetrizedCartan([[2]]))
     return _SL2
 
 
@@ -106,7 +106,8 @@ def ft_segment(alg: YtAlgebra, seg: range) -> YtElement:
     bracket = YtElement.unit()
     string = YtElement.unit()
     for j in range(1, len(seg) + 1):
-        string = alg.mul(string, alg.a_inv_elem(1, seg[-1] + 3 - 2 * j))
+        a_inv = alg.a_monomial_expand({(1, seg[-1] + 3 - 2 * j): 1})
+        string = alg.mul(string, YtElement.from_monomial(a_inv))
         bracket.add_scaled(string, TPoly.t_power(j))
     return alg.mul(m_elem, bracket)
 

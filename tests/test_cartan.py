@@ -11,10 +11,9 @@ import pytest
 import qtchar
 from qtchar import algebra, cartan
 from qtchar.cartan import (
-    CartanMatrix,
+    SymmetrizedCartan,
     cartan_from_json,
     named_cartan,
-    validate_cartan,
 )
 from qtchar.errors import (
     MAX_RANK,
@@ -128,11 +127,12 @@ def test_random_cartan_sweep():
         outcomes[expected] += 1
         if expected != "accepted":
             with pytest.raises(expected) as info:
-                validate_cartan(m)
+                SymmetrizedCartan(m)
             if expected is NotFiniteType:
                 assert str(info.value).endswith(f"(minor {first})")
             continue
-        c = validate_cartan(m)
+        c = SymmetrizedCartan(m)
+        assert all(c.r[i] * m[i][j] == c.r[j] * m[j][i] for i in range(n) for j in range(n)), m
         series = cartan.InvCartanSeries(c)
         for i in range(n):
             for j in range(n):
@@ -147,7 +147,7 @@ def test_random_cartan_sweep():
 def test_series_needs_one_top_term_per_column(monkeypatch, name):
     """An off-diagonal term of degree r_j in column j would make the
     recurrence read its own level, so the series refuses it."""
-    c = validate_cartan(named_cartan(name))
+    c = SymmetrizedCartan(named_cartan(name))
     cz = [list(row) for row in c.cz]
     cz[0][1] = {c.r[1]: -1}
     monkeypatch.setattr(c, "cz", cz)
@@ -161,7 +161,7 @@ def test_symmetrizers():
     assert algebra("G2").cartan.r == [1, 3]
     assert algebra("A3").cartan.r == [1, 1, 1]
     # normalized per component: gcd 1 within G2, not only overall
-    assert validate_cartan([[2, 0, 0], [0, 2, -1], [0, -3, 2]]).r == [1, 3, 1]
+    assert SymmetrizedCartan([[2, 0, 0], [0, 2, -1], [0, -3, 2]]).r == [1, 3, 1]
 
 
 def test_named_types_shapes():
@@ -179,14 +179,70 @@ def test_named_types_shapes():
             named_cartan(name)
 
 
+def _det_exact(m):
+    """Determinant by exact Fraction elimination; _det's permutations cannot reach rank 32."""
+    n = len(m)
+    rows = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            rows[k], rows[p], det = rows[p], rows[k], -det
+        det *= rows[k][k]
+        for i in range(k + 1, n):
+            if rows[i][k]:
+                f = rows[i][k] / rows[k][k]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+    return det
+
+
+FAMILY_RANKS = {"A": range(1, MAX_RANK + 1), "B": range(2, MAX_RANK + 1),
+                "C": range(2, MAX_RANK + 1), "D": range(4, MAX_RANK + 1), "E": range(6, 9),
+                "F": [4], "G": [2]}
+
+
+@pytest.mark.parametrize("fam", sorted(FAMILY_RANKS))
+def test_named_types_pinned(fam):
+    """Each named type at every rank has its determinant, n - 1 bonds forming a
+    connected graph, its arrow entries in place and its branch node, pinned
+    from outside the table that builds it."""
+    for n in FAMILY_RANKS[fam]:
+        name, m = f"{fam}{n}", named_cartan(f"{fam}{n}")
+        dets = {"A": n + 1, "B": 2, "C": 2, "D": 4, "E": 9 - n, "F": 1, "G": 1}
+        assert _det_exact(m) == dets[fam], name
+        bonds = {(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if m[i - 1][j - 1]}
+        assert len(bonds) == n - 1, name
+        reached = {1}
+        for _ in range(n):
+            reached |= {k for b in bonds if reached & set(b) for k in b}
+        assert reached == set(range(1, n + 1)), name
+        arrows = {(i, j): m[i - 1][j - 1] for i in range(1, n + 1) for j in range(1, n + 1)
+                  if i != j and m[i - 1][j - 1] < -1}
+        want = {"B": {(n - 1, n): -2}, "C": {(n, n - 1): -2}, "F": {(2, 3): -2},
+                "G": {(1, 2): -3}}
+        assert arrows == want.get(fam, {}), name
+        for i in range(1, n + 1):  # 2 on the diagonal, -1 on the rest of each bond
+            for j in range(1, n + 1):
+                bond = (min(i, j), max(i, j)) in bonds
+                entry = 2 if i == j else arrows.get((i, j), -1 if bond else 0)
+                assert m[i - 1][j - 1] == entry, (name, i, j)
+        degree = {k: sum(k in b for b in bonds) for k in range(1, n + 1)}
+        branch = {"D": {n - 2: 3}, "E": {4: 3}}
+        assert {k: d for k, d in degree.items() if d > 2} == branch.get(fam, {}), name
+        if fam == "E":
+            assert {b for b in bonds if 2 in b} == {(2, 4)}, name
+
+
 def test_rank_limit(monkeypatch):
     """Past MAX_RANK a name is refused before its matrix is built."""
     assert len(named_cartan(f"A{MAX_RANK}")) == MAX_RANK
 
-    def refuse(n):
+    def refuse(n, *_):
         raise AssertionError(f"a rank-{n} chain was built")
 
-    monkeypatch.setattr(cartan, "_chain", refuse)
+    monkeypatch.setattr(cartan, "_from_bonds", refuse)
     for name in (f"A{MAX_RANK + 1}", f"B{MAX_RANK + 1}", f"C{MAX_RANK + 1}", f"D{MAX_RANK + 1}",
                  "A100000"):
         with pytest.raises(BudgetExceeded):
@@ -197,15 +253,15 @@ def test_rank_limit(monkeypatch):
 
 def test_validation_errors():
     with pytest.raises(NotCartan):
-        CartanMatrix([[1]])
+        SymmetrizedCartan([[1]])
     with pytest.raises(NotCartan):
-        CartanMatrix([[2, 1], [-1, 2]])
+        SymmetrizedCartan([[2, 1], [-1, 2]])
     with pytest.raises(NotCartan):
-        CartanMatrix([[2, 0], [-1, 2]])
+        SymmetrizedCartan([[2, 0], [-1, 2]])
     with pytest.raises(NotFiniteType):
-        validate_cartan([[2, -2], [-2, 2]])  # affine
+        SymmetrizedCartan([[2, -2], [-2, 2]])  # affine
     with pytest.raises(NotFiniteType):
-        validate_cartan([[2, -4], [-1, 2]])
+        SymmetrizedCartan([[2, -4], [-1, 2]])
     # the elimination pivot that first fails to be positive at z = 1
     for entries in [
         [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],  # affine A2(1): minor 3 is 0
@@ -215,8 +271,8 @@ def test_validation_errors():
         [[2, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 2, -2], [0, 0, -2, 2]],  # A2 + A1(1): minor 4 is 0
     ]:
         with pytest.raises(NotFiniteType):
-            validate_cartan(entries)
-    a1_a2 = validate_cartan([[2, 0, 0], [0, 2, -1], [0, -1, 2]])
+            SymmetrizedCartan(entries)
+    a1_a2 = SymmetrizedCartan([[2, 0, 0], [0, 2, -1], [0, -1, 2]])
     assert a1_a2.r == [1, 1, 1]
     assert a1_a2.heights == [Fraction(1, 2), 1, 1]
 
@@ -224,7 +280,7 @@ def test_validation_errors():
 def test_symmetrizable_consistency():
     # a 3-cycle with inconsistent ratios cannot be symmetrized
     with pytest.raises((NotSymmetrizable, NotFiniteType)):
-        validate_cartan([[2, -1, -2], [-2, 2, -1], [-1, -2, 2]])
+        SymmetrizedCartan([[2, -1, -2], [-2, 2, -1], [-1, -2, 2]])
 
 
 def test_json_inputs():
@@ -249,6 +305,7 @@ def test_json_inputs():
         {"type": 5},
         {"type": None},
         {"type": ["A2"]},
+        {"type": "E" + "9" * 99},  # not a type; refused before any matrix is built
         {"type": "A2", "matrix": [[2, -1], [-1, 2]]},
         {"type": "A2", "note": "x"},
         {},

@@ -225,8 +225,8 @@ def _refuse(*_args):
     ],
 )
 def test_rank_past_max_rank_exit_4(capsys, monkeypatch, spec):
-    """Refused before _chain allocates and before the elimination runs."""
-    monkeypatch.setattr(cartan, "_chain", _refuse)
+    """Refused before _from_bonds allocates and before the elimination runs."""
+    monkeypatch.setattr(cartan, "_from_bonds", _refuse)
     monkeypatch.setattr(cartan, "_inverse", _refuse)
     code, out, err = run(capsys, "tchar", "--cartan", spec, "Y[1,0]")
     assert code == 4 and out == ""

@@ -38,7 +38,7 @@ def test_parse_single_factors(sl2, b2):
 
 def test_parse_a_factor_expands(b2):
     got = parse_monomial(b2, "A[1,2]^-1")
-    want = b2.a_inv_elem(1, 2)
+    want = YtElement.from_monomial(b2.a_monomial_expand({(1, 2): 1}))
     assert got == want
 
 

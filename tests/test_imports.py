@@ -1,9 +1,10 @@
-"""Every top-level import of a module is referenced in that module,
-every module-level private function or class of qtchar is referenced
-somewhere in qtchar outside its own definition, every public function,
-class and method of qtchar is referenced somewhere in qtchar, tests/ or
-bench/ outside its own definition, and every qtchar name that the bench's
-layer trace looks up exists.
+"""Every top-level import of a module of qtchar, tests/ or bench/ is
+referenced in that module, every module-level private function or class of
+qtchar is referenced somewhere in qtchar outside its own definition, every
+public function, class and method of qtchar is referenced somewhere in
+qtchar, tests/ or bench/ outside its own definition, every qtchar name that
+the bench's layer trace looks up exists, and the products suite checks the
+product workload's inputs.
 
 qtchar/__init__.py is left out of the import check: it imports names only to
 re-export them.  Elsewhere `from m import x as x` marks a deliberate re-export.
@@ -16,10 +17,12 @@ from pathlib import Path
 
 import pytest
 
+from qtchar.suites import PRODUCT_INPUTS
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "qtchar").glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
-MODULES += sorted((ROOT / "tests").glob("*.py"))
+MODULES += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
 
 
 def unused_imports(source: str):
@@ -119,14 +122,14 @@ def test_no_orphaned_public_names():
     assert unreferenced_defs(sources, PACKAGE, private=False) == []
 
 
-def _bench_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-RESOLVED_BY_TRACER = [(module, attr) for module, attr, _ in _bench_tracer().SPANS] + [
+RESOLVED_BY_TRACER = [(module, attr) for module, attr, _ in _bench_module("tracer").SPANS] + [
     ("qtchar.algebra", "YtAlgebra.a_depth"),
     ("qtchar.cartan", "InvCartanSeries.entry_coeff"),
 ]
@@ -140,3 +143,10 @@ def test_bench_tracer_names_resolve(module, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_products_suite_checks_the_benchmark_inputs():
+    """`qtchar verify products` runs the full check on exactly the star
+    products that the benchmark's product workload times."""
+    jobs = _bench_module("jobs").WORKLOADS["product"].values()
+    assert PRODUCT_INPUTS == [(cartan, *texts) for _kind, cartan, *texts in jobs]
