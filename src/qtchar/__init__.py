@@ -39,10 +39,6 @@ from .tpoly import TPoly
 
 def algebra(cartan) -> YtAlgebra:
     """Convenience constructor: name, JSON dict, or matrix -> YtAlgebra."""
-    if isinstance(cartan, YtAlgebra):
-        return cartan
-    if isinstance(cartan, SymmetrizedCartan):
-        return YtAlgebra(cartan)
     if isinstance(cartan, (str, dict)):
         return YtAlgebra(cartan_from_json(cartan))
     return YtAlgebra(SymmetrizedCartan(cartan))

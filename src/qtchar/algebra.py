@@ -27,17 +27,9 @@ class Monomial:
 
     __slots__ = ("data", "_hash")
 
-    def __init__(self, data=None):
-        if data is None:
-            items = ()
-        elif isinstance(data, Monomial):
-            items = data.data
-        else:
-            if not isinstance(data, dict):
-                data = dict(data)
-            items = tuple(sorted((k, e) for k, e in data.items() if e != 0))
-        self.data = items
-        self._hash = hash(items)
+    def __init__(self, data: dict | None = None):
+        self.data = tuple(sorted((k, e) for k, e in data.items() if e != 0)) if data else ()
+        self._hash = hash(self.data)
 
     @staticmethod
     def y(i: int, l: int, e: int = 1) -> "Monomial":
@@ -108,7 +100,8 @@ class Monomial:
         return all(e < 0 for (_, l), e in self.data if l == top)
 
     def sortkey(self):
-        # level-major lexicographic key; any total order works as a tiebreak
+        # data is sorted by (node, level), so the key is node-major:
+        # Y[1,5] comes before Y[2,0]; any total order works as a tiebreak
         return self.data
 
     def __eq__(self, other):

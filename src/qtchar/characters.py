@@ -86,6 +86,7 @@ class _Packing:
         self.tops = [0] * len(self.nodes)
         self.masks = [0] * len(self.nodes)
         self._decoding = -1  # the number of slots that decode's tables cover
+        self._pairs = []  # slot -> {exponent: (key, exponent)}, kept for the whole call
 
     def encode(self, m: Monomial) -> int:
         x = 0
@@ -104,8 +105,9 @@ class _Packing:
         return x
 
     def decode(self, x: int) -> Monomial:
-        """The monomial of x; its (key, exponent) pairs are shared between the
-        monomials decoded with the same slots."""
+        """The monomial of x.  t_algorithm decodes each depth once, when it
+        comes; the (key, exponent) pairs are kept for the whole call and shared
+        between the monomials decoded, since a slot's key never changes."""
         n = len(self.keys)
         if self._decoding != n:  # slots were added since the last decode
             self._decoding = n
@@ -113,7 +115,7 @@ class _Packing:
             self._rank = [0] * n
             for r, k in enumerate(sorted(range(n), key=self.keys.__getitem__)):
                 self._rank[k] = r
-            self._pairs = [{} for _ in range(n)]  # slot -> {exponent: (key, exponent)}
+            self._pairs += ({} for _ in range(len(self._pairs), n))
         raw = ((x + self.bias) ^ self.bias).to_bytes(n * self.width // 8, "little")
         fields = self._fields.unpack(raw)
         data = []
@@ -151,10 +153,10 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
     must receive the same value from every node where it has a negative
     exponent; disagreement aborts loudly, and so does an A-depth past the
     bound of depth_bound.  A max_a_depth below that bound fails before the
-    loop, since the result reaches the bound.  After the loop the depths
-    are decoded one at a time, shallowest first, each sorted by sortkey and
-    its integers then released, so the terms come in (A-depth, sortkey)
-    order.
+    loop, since the result reaches the bound.  Each depth is decoded once,
+    when it comes, and processed in sortkey order, each nonzero s(m) going
+    straight into the result under its decoded m, so the terms come in
+    (A-depth, sortkey) order.
     """
     if not m_plus.is_dominant():
         raise NotDominant(f"seed {m_plus} is not dominant")
@@ -168,12 +170,13 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
     acc = {}  # packed monomial -> {node i: {t-exponent: integer coefficient}}
     lifts = {}  # unbiased node-i fields of m -> [(packed Y-delta, sum W, coefficient items)]
     buckets = {0: [x_plus]}  # A-depth -> the packed monomials discovered there
-    levels = []  # per processed depth, (packed m, s(m)) for each nonzero s(m)
+    s = {}  # decoded m -> nonzero s(m), in (A-depth, sortkey) order
     found = 1
     while buckets:
         depth_m = min(buckets)
-        level = []
-        for x in buckets.pop(depth_m):
+        level = sorted(((code.decode(x), x) for x in buckets.pop(depth_m)),
+                       key=lambda mx: mx[0].sortkey())
+        for m, x in level:
             xb = x + code.bias
             ux = xb ^ code.bias
             neg, parts = [], []  # nodes with a negative exponent in m; (node, memo key)
@@ -186,28 +189,25 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
             if x == x_plus:
                 sm = ONE
             elif not neg:
-                raise InternalInconsistency(f"{code.decode(x)} below the seed {m_plus} is dominant")
+                raise InternalInconsistency(f"{m} below the seed {m_plus} is dominant")
             else:
                 vals = [TPoly.adopt(si[i]) if i in si else ZERO for i in neg]
                 for v in vals[1:]:
                     if v != vals[0]:
-                        raise AlgorithmFails(
-                            f"node values disagree at {code.decode(x)}: {vals[0]} vs {v}"
-                        )
+                        raise AlgorithmFails(f"node values disagree at {m}: {vals[0]} vs {v}")
                 sm = vals[0]
             if not sm:
                 continue
-            level.append((x, sm))
+            s[m] = sm
             sm_items = sm.coeffs.items()
             for i, key in parts:
                 lift = lifts.get(key)
                 if lift is None:
                     lift = lifts[key] = [(code.encode(dl), dw, coeff)
-                                         for dl, dw, coeff in lift_it(alg, i, code.decode(x))]
+                                         for dl, dw, coeff in lift_it(alg, i, m)]
                 for delta, depth_w, coeff in lift:
                     depth = depth_m + depth_w
                     if depth > bound:  # name the first term past the bound in full
-                        m = code.decode(x)
                         mr = next(m.times(dl) for dl, dw, _ in lift_it(alg, i, m)
                                   if depth_m + dw > bound)
                         raise InternalInconsistency(
@@ -227,15 +227,7 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
                     for e1, c1 in sm_items:
                         for e2, c2 in coeff:
                             d[e1 + e2] = d.get(e1 + e2, 0) + c1 * c2
-        levels.append(level)
-    del lifts
-    s = {}
-    levels.reverse()
-    while levels:  # shallowest first; a level's integers go once it is decoded
-        terms = [(code.decode(x), sm) for x, sm in levels.pop()]
-        terms.sort(key=lambda mp: mp[0].sortkey())
-        s.update(terms)
-    return YtElement(s)
+    return YtElement._adopt(s)  # every s(m) stored is a nonzero TPoly
 
 
 # algebra -> {node i: fundamental character with highest monomial Y_{i,0}};

@@ -1,10 +1,12 @@
-"""Classical (undeformed) character algorithm, kept as an independent oracle.
+"""Classical (undeformed) character algorithm, kept as an oracle.
 
 Everything here is commutative with integer coefficients: rank-1 characters
 come from expanding products of (Y_l + Y_{l+2}^-1), node lifts relabel
 A-string levels directly, and the frontier recursion mirrors the classical
 monomial-expansion algorithm.  No code path below touches TPoly or the
-twisted product.
+twisted product.  It is not independent of the engine: the lifts use
+YtAlgebra.a_monomial_expand and the heap is ordered by YtAlgebra.a_depth,
+so a wrong A-template reaches both sides alike (ROADMAP item 13).
 """
 
 from __future__ import annotations

@@ -46,14 +46,16 @@ def _load_algebra(spec: str | None) -> YtAlgebra:
 
 
 def _budget(args) -> Budget:
-    """Budgets from their flag text: ASCII digits only, no sign, spaces or "_"."""
-    texts = {"--budget-monomials": args.budget_monomials, "--budget-depth": args.budget_depth}
-    for flag, text in texts.items():
-        if text is not None and not (text.isascii() and text.isdigit()):
+    """The Budget of the flags given, each from its text: ASCII digits only, no
+    sign, spaces or "_".  A flag not given keeps Budget's default."""
+    texts = {("--budget-monomials", "max_monomials"): args.budget_monomials,
+             ("--budget-depth", "max_a_depth"): args.budget_depth}
+    texts = {flag: text for flag, text in texts.items() if text is not None}
+    for (flag, _), text in texts.items():
+        if not (text.isascii() and text.isdigit()):
             raise ParseError(f"{flag} must be a positive ASCII integer, not {text!r}")
     try:
-        return Budget(*(None if text is None else parse_int(text, flag)
-                        for flag, text in texts.items()))
+        return Budget(**{field: parse_int(text, flag) for (flag, field), text in texts.items()})
     except ValueError as exc:
         raise ParseError(f"--budget-monomials/--budget-depth: {exc}") from None
 
@@ -165,7 +167,7 @@ def cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--cartan", default=None, help="Cartan type name or JSON (default: A1)")
-    common.add_argument("--budget-monomials", default="200000")
+    common.add_argument("--budget-monomials")
     common.add_argument("--budget-depth", default=None,
                         help="optional cap on the A-depth (default: the exact bound)")
     common.add_argument("--format", choices=["json", "dot", "text"], default="json")

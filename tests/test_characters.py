@@ -114,6 +114,32 @@ def test_loop_errors_name_the_whole_monomial(monkeypatch):
         t_algorithm(g2, Monomial.y(2, 0))
 
 
+def test_monomial_cap_fires_inside_the_loop():
+    """E6 node 4 reaches A-depth 42, so Budget(43) passes the up-front check
+    and the cap fires in the loop, on the 44th monomial discovered."""
+    e6 = algebra("E6")
+    seed = Monomial.y(4, 0)
+    assert e6.depth_bound(seed) == 42
+    with pytest.raises(BudgetExceeded, match="^more than 43 monomials discovered$"):
+        t_algorithm(e6, seed, Budget(43))
+
+
+@pytest.mark.parametrize("name,node,terms", [("E6", 4, 2925), ("E8", 1, 3875)])
+def test_each_depth_is_decoded_once_when_it_comes(monkeypatch, name, node, terms):
+    """t_algorithm decodes every monomial once, at the start of its depth, and
+    nowhere else: one decode per term of these fundamentals."""
+    calls = []
+    decode = _Packing.decode
+
+    def counted(code, x):
+        calls.append(x)
+        return decode(code, x)
+
+    monkeypatch.setattr(_Packing, "decode", counted)
+    assert len(t_algorithm(algebra(name), Monomial.y(node, 0))) == terms
+    assert len(calls) == terms
+
+
 def _lifted(alg, seed):
     """(i, m) for each lift of the frontier loop: every monomial m of the
     result and node i where m has a Y_i factor and is i-dominant."""

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtchar import cartan
+from qtchar import cartan, cli
 from qtchar.cli import main
+from qtchar.errors import InternalInconsistency
 from qtchar.grammar import parse_element
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -274,6 +275,59 @@ def test_product_below_e_t_size_exit_0(capsys):
     assert code == 0 and err == ""
     assert json.loads(out) == {"terms": [{"coeff": {"0": 1},
                                           "monomial": "X[2,0] X[2,1] X[2,2] X[2,3]"}]}
+
+
+_OPERANDS = {"tchar": ["Y[1,0]"], "kl": ["Y[1,0]"], "product": ["X[1,0]", "X[1,2]"],
+             "verify": ["involution"]}
+# (subcommand, --format, --t1) that run; every other combination is a parse error
+_ACCEPTED = {
+    ("tchar", "json", False), ("tchar", "json", True), ("tchar", "text", False),
+    ("tchar", "text", True), ("tchar", "dot", False),
+    ("kl", "json", False), ("kl", "text", False),
+    ("product", "json", False), ("product", "json", True), ("product", "text", False),
+    ("product", "text", True),
+    ("verify", "json", False), ("verify", "text", False),
+}
+
+
+@pytest.mark.parametrize("t1", [False, True], ids=["plain", "t1"])
+@pytest.mark.parametrize("fmt", ["json", "text", "dot"])
+@pytest.mark.parametrize("command", list(_OPERANDS))
+def test_every_format_and_t1_combination(capsys, command, fmt, t1):
+    """Each subcommand x --format x --t1 prints and exits 0, or exits 2 with one
+    stderr line and nothing on stdout."""
+    argv = [command, "--format", fmt, *(["--t1"] if t1 else []), *_OPERANDS[command]]
+    code, out, err = run(capsys, *argv)
+    if (command, fmt, t1) in _ACCEPTED:
+        assert code == 0 and out.strip() and err == ""
+    else:
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("parse error")
+
+
+@pytest.mark.parametrize(
+    "argv,code,out,err",
+    [
+        (["tchar", "--format", "text", "Y[1,0]"], 0, "(1)  Y[1,0]\n(1)  Y[1,2]^-1\n", ""),
+        (["kl", "--format", "text", "--cartan", "B2", "Y[2,0] Y[1,5]"], 0,
+         "P = t^-1  at  t^0 Y[1,1]\n", ""),
+        (["kl", "--format", "text", "Y[1,0]"], 0, "no lower dominant monomials\n", ""),
+        (["kl", "Y[1,0]^-1"], 3, "", "domain error: Y[1,0]^-1 is not dominant\n"),
+        # E6 node 4 reaches A-depth 42: the cap passes up front and fires in the loop
+        (["tchar", "--cartan", "E6", "--budget-monomials", "43", "Y[4,0]"], 4, "",
+         "budget exceeded: more than 43 monomials discovered\n"),
+    ],
+)
+def test_pinned_rows(capsys, argv, code, out, err):
+    assert run(capsys, *argv) == (code, out, err)
+
+
+def test_internal_inconsistency_exit_5(capsys, monkeypatch):
+    def inconsistent(*_args):
+        raise InternalInconsistency("planted")
+
+    monkeypatch.setattr(cli, "t_algorithm", inconsistent)
+    assert run(capsys, "tchar", "Y[1,0]") == (5, "", "verification failure: planted\n")
 
 
 def test_verify_appendix(capsys):

@@ -105,6 +105,15 @@ def test_sigma_window_reduction(g2):
         vec[3]
 
 
+def test_e_it_carries_other_nodes_as_spectators(b2):
+    """The Y_2 factor of Y[1,0] Y[2,1] rides along in the node-1 e_it."""
+    x = e_it(b2, 1, Monomial({(1, 0): 1, (2, 1): 1}))
+    t_inv = TPoly.t_power(-1)
+    assert x == YtElement({Monomial({(1, 0): 1, (2, 1): 1}): t_inv,
+                           Monomial({(1, 2): -1, (2, 1): 2}): t_inv})
+    assert in_kernel(b2, 1, x)
+
+
 def test_kernel_closed_under_products(b2):
     f1 = f_it(b2, 1, Monomial.y(1, 0))
     f2 = f_it(b2, 1, Monomial.y(1, 3))
