@@ -452,8 +452,9 @@ class YtAlgebra:
         """Largest A-depth below m_plus: ht(lambda - w0 lambda) = 2 <lambda, rho^v>.
 
         lambda = wt(m_plus); every monomial of a character with highest
-        weight lambda has weight at least w0 lambda (Frenkel-Mukhin).
-        ParseError for a node outside 1..n.
+        weight lambda has weight at least w0 lambda (Frenkel-Mukhin).  For
+        any m, dominant or not, the value is 2<wt(m), rho^v>, which each
+        A_{i,l}^-1 lowers by exactly 2.  ParseError for a node outside 1..n.
         """
         self.within_rank(m_plus)
         bound = 2 * sum(self.cartan.heights[i - 1] * e for (i, _), e in m_plus.items())

@@ -377,18 +377,16 @@ def chi_qt(alg: YtAlgebra, x: RepElement, budget: Budget = DEFAULT_BUDGET) -> Yt
 def _peel(alg: YtAlgebra, rest: YtElement, budget: Budget) -> RepElement:
     """The RepElement whose chi_qt has the dominant part rest, rest being dominant.
 
-    Each step takes a maximal dominant monomial mu of rest and subtracts
-    lam E_t(mu), in place, until rest is zero.  Only the dominant part of
-    each E_t(mu) is formed, by dominant_product, so rest stays dominant.
+    Each step takes the monomial mu of rest with the largest depth_bound,
+    2<wt(mu), rho^v>, and subtracts lam E_t(mu), in place, until rest is
+    zero.  Each A_{i,l}^-1 lowers that bound by 2, so mu is maximal under
+    leq and its coefficient is final; the peeled terms do not depend on the
+    order.  Only the dominant part of each E_t(mu) is formed, by
+    dominant_product, so rest stays dominant.
     """
     out = {}
     while not rest.is_zero():
-        doms = list(rest.monomials())
-        maximal = [
-            m for m in doms
-            if not any(other != m and alg.leq(m, other) for other in doms)
-        ]
-        mu = max(maximal, key=lambda m: (m.degree(), m.sortkey()))
+        mu = max(rest.monomials(), key=lambda m: (alg.depth_bound(m), m.degree(), m.sortkey()))
         _depth_bound_in_budget(alg, mu, budget)
         e = dominant_product(alg, _fundamental_order(mu), budget)
         sp = e.coeff(mu).single_power()

@@ -4,9 +4,10 @@ Everything here is commutative with integer coefficients: rank-1 characters
 come from expanding products of (Y_l + Y_{l+2}^-1), node lifts relabel
 A-string levels directly, and the frontier recursion mirrors the classical
 monomial-expansion algorithm.  No code path below touches TPoly or the
-twisted product.  It is not independent of the engine: the lifts use
-YtAlgebra.a_monomial_expand and the heap is ordered by YtAlgebra.a_depth,
-so a wrong A-template reaches both sides alike (ROADMAP item 13).
+twisted product.  The heap is ordered by 2<wt(m_plus) - wt(m), rho^v>,
+twice the A-depth of m, read from the heights alone.  It is not independent
+of the engine: the lifts use YtAlgebra.a_monomial_expand, so a wrong
+A-template reaches both sides alike (ROADMAP item 13).
 """
 
 from __future__ import annotations
@@ -140,12 +141,15 @@ def classical_algorithm(alg: YtAlgebra, m_plus: Monomial,
     if not m_plus.is_dominant():
         raise NotDominant(f"seed {m_plus} is not dominant")
     nodes = list(alg.cartan.nodes())
+    # 2<omega_i, rho^v> is an integer, and each A_{i,l}^-1 lowers 2<wt, rho^v> by 2
+    h2 = [int(2 * h) for h in alg.cartan.heights]
+    top = sum(h2[i - 1] * e for (i, _), e in m_plus.items())
     acc = {i: {} for i in nodes}
     s = {}
     heap = [(0, m_plus.sortkey(), m_plus)]
     seen = {m_plus}
     while heap:
-        _, _, m = heapq.heappop(heap)
+        depth2, _, m = heapq.heappop(heap)
         si = {i: acc[i].pop(m, 0) for i in nodes}
         if m == m_plus:
             sm = 1
@@ -177,8 +181,8 @@ def classical_algorithm(alg: YtAlgebra, m_plus: Monomial,
                     seen.add(mr)
                     if len(seen) > max_monomials:
                         raise BudgetExceeded("classical frontier outgrew budget")
-                    depth = alg.a_depth(mr, m_plus)
-                    if depth is None:
-                        raise InternalInconsistency("classical frontier left the cone")
-                    heapq.heappush(heap, (depth, mr.sortkey(), mr))
+                    mr_depth2 = top - sum(h2[j - 1] * e for (j, _), e in mr.items())
+                    if mr_depth2 <= depth2:
+                        raise InternalInconsistency(f"classical lift {mr} is not below {m}")
+                    heapq.heappush(heap, (mr_depth2, mr.sortkey(), mr))
     return s

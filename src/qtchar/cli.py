@@ -2,32 +2,28 @@
 
 Subcommands: tchar (deformed character of a dominant seed), kl (canonical
 basis decomposition), product (deformed Grothendieck product), verify
-(named invariant suites).  Exit codes: 0 success, 2 parse error, 3 domain
-precondition, 4 budget exceeded, 5 verification or internal failure.
+(named invariant suites).  Exit codes: 0 success, 1 stdout closed before
+the output was written, 2 parse error, 3 domain precondition, 4 budget
+exceeded, 5 verification or internal failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from itertools import islice
 
-from .algebra import YtAlgebra, YtElement
+from .algebra import YtAlgebra
 from .cartan import cartan_from_json
 from .characters import Budget, RepElement, character_tree, lt_and_kl, star_product, t_algorithm
 from .errors import BudgetExceeded, DomainError, ParseError, QtcharError, parse_int
-from .grammar import (
-    format_basis_monomial,
-    format_element_text,
-    format_rep_monomial,
-    parse_basis_monomial,
-    parse_rep_monomial,
-    serialize_element,
-    serialize_tpoly,
-)
+from .grammar import format_rep_monomial, parse_basis_monomial, parse_rep_monomial, serialize_tpoly
 from .suites import SUITES
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_BUDGET = 4
@@ -61,25 +57,32 @@ def _budget(args) -> Budget:
 
 
 def _emit(obj):
-    print(json.dumps(obj, sort_keys=True, indent=2))
+    """Print obj as json.dumps(obj, sort_keys=True, indent=2) does, in batches
+    of 2^14 encoder chunks, so that the whole text is never held at once."""
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj)
+    while batch := "".join(islice(chunks, 1 << 14)):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
 
 
-def _element_payload(x: YtElement, t1: bool):
-    if t1:
-        return {
-            "terms": [
-                {"coeff": c, "monomial": format_basis_monomial(m)}
-                for m, c in sorted(x.at_one().items(), key=lambda kv: kv[0].sortkey())
-            ]
-        }
-    return serialize_element(x)
+def _write_terms(args, x, name, wrap):
+    """Print the terms of x in sortkey order, as "(c)  monomial" lines or as the
+    JSON object wrap({"terms": [...]}), each monomial written by name.  With
+    --t1 each coefficient is taken at t = 1 and the terms that vanish drop out."""
+    rows = [(m, c) for m, p in x.sorted_terms() if (c := p.at_one() if args.t1 else p)]
+    if args.format == "text":
+        for m, c in rows:
+            print(f"({c})  {name(m)}")
+    else:
+        _emit(wrap({"terms": [{"coeff": c if args.t1 else serialize_tpoly(c), "monomial": name(m)}
+                              for m, c in rows]}))
 
 
 def _dot_tree(vertices, edges) -> str:
     lines = ["digraph tchar {"]
     index = {m: k for k, m in enumerate(vertices)}
     for m in vertices:
-        lines.append(f'  n{index[m]} [label="{format_basis_monomial(m)}"];')
+        lines.append(f'  n{index[m]} [label="{m}"];')
     for src, dst, (i, l) in edges:
         lines.append(f'  n{index[src]} -> n{index[dst]} [label="{i},{l}"];')
     lines.append("}")
@@ -93,15 +96,8 @@ def cmd_tchar(args) -> int:
     if args.format == "dot":
         print(_dot_tree(*character_tree(alg, seed, budget)))
         return EXIT_OK
-    result = t_algorithm(alg, seed, budget)
-    if args.format == "text":
-        if args.t1:
-            for m, c in sorted(result.at_one().items(), key=lambda kv: kv[0].sortkey()):
-                print(f"({c})  {format_basis_monomial(m)}")
-        else:
-            print(format_element_text(result))
-    else:
-        _emit({"seed": format_basis_monomial(seed), "element": _element_payload(result, args.t1)})
+    _write_terms(args, t_algorithm(alg, seed, budget), str,
+                 lambda element: {"seed": str(seed), "element": element})
     return EXIT_OK
 
 
@@ -110,24 +106,15 @@ def cmd_kl(args) -> int:
     budget = _budget(args)
     seed = alg.within_rank(parse_basis_monomial(args.seed))
     rows, _ = lt_and_kl(alg, seed, budget)
-    payload = {
-        "seed": format_basis_monomial(seed),
-        "rows": [
-            {
-                "monomial": format_basis_monomial(nu),
-                "shift": shift,
-                "P": serialize_tpoly(p),
-            }
-            for nu, shift, p in rows
-        ],
-    }
     if args.format == "text":
         if not rows:
             print("no lower dominant monomials")
         for nu, shift, p in rows:
-            print(f"P = {p}  at  t^{shift} {format_basis_monomial(nu)}")
+            print(f"P = {p}  at  t^{shift} {nu}")
     else:
-        _emit(payload)
+        _emit({"seed": str(seed),
+               "rows": [{"monomial": str(nu), "shift": shift, "P": serialize_tpoly(p)}
+                        for nu, shift, p in rows]})
     return EXIT_OK
 
 
@@ -136,19 +123,7 @@ def cmd_product(args) -> int:
     budget = _budget(args)
     x = RepElement.from_monomial(alg.within_rank(parse_rep_monomial(args.left)))
     y = RepElement.from_monomial(alg.within_rank(parse_rep_monomial(args.right)))
-    z = star_product(alg, x, y, budget)
-    rows = [(format_rep_monomial(m), p)
-            for m, p in sorted(z.items(), key=lambda kv: kv[0].sortkey())]
-    if args.format == "text":
-        for mono, p in rows:
-            print(f"({p.at_one() if args.t1 else p})  {mono}")
-    else:
-        _emit({
-            "terms": [
-                {"coeff": p.at_one() if args.t1 else serialize_tpoly(p), "monomial": mono}
-                for mono, p in rows
-            ]
-        })
+    _write_terms(args, star_product(alg, x, y, budget), format_rep_monomial, lambda terms: terms)
     return EXIT_OK
 
 
@@ -178,16 +153,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact q-characters and t-deformed q,t-characters.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("tchar", parents=[common],
-                       help="deformed character of a dominant monomial")
+    p = sub.add_parser("tchar", parents=[common], help="deformed character of a dominant monomial")
     p.add_argument("seed")
     p.set_defaults(func=cmd_tchar)
-    p = sub.add_parser("kl", parents=[common],
-                       help="canonical basis rows for a dominant monomial")
+    p = sub.add_parser("kl", parents=[common], help="canonical basis rows for a dominant monomial")
     p.add_argument("seed")
     p.set_defaults(func=cmd_kl)
-    p = sub.add_parser("product", parents=[common],
-                       help="deformed product of two Rep-monomials")
+    p = sub.add_parser("product", parents=[common], help="deformed product of two Rep-monomials")
     p.add_argument("left")
     p.add_argument("right")
     p.set_defaults(func=cmd_product)
@@ -207,7 +179,13 @@ def main(argv=None) -> int:
             raise ParseError(f"--t1 has no effect on {where}")
         if args.cartan is not None and args.func is cmd_verify:
             raise ParseError("--cartan has no effect on verify: each suite fixes its own types")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone; fd 1 goes to devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -118,10 +118,6 @@ def parse_basis_monomial(text: str) -> Monomial:
     return Monomial(d)
 
 
-def format_basis_monomial(m: Monomial) -> str:
-    return str(m)  # Monomial.__str__ already emits the grammar
-
-
 def serialize_tpoly(p: TPoly) -> dict:
     return {str(e): c for e, c in p.sorted_items()}
 
@@ -133,7 +129,7 @@ def parse_tpoly(obj: dict) -> TPoly:
 def serialize_element(x: YtElement) -> dict:
     return {
         "terms": [
-            {"coeff": serialize_tpoly(p), "monomial": format_basis_monomial(m)}
+            {"coeff": serialize_tpoly(p), "monomial": str(m)}
             for m, p in x.sorted_terms()
         ]
     }
@@ -147,23 +143,16 @@ def parse_element(obj: dict) -> YtElement:
     return YtElement(terms)
 
 
-def format_element_text(x: YtElement) -> str:
-    if x.is_zero():
-        return "0"
-    return "\n".join(f"({p})  {m}" for m, p in x.sorted_terms())
-
-
 # Rep-monomials reuse the same grammar with X in place of Y.
 
 
 def parse_rep_monomial(text: str) -> Monomial:
+    """Plain exponent map of X factors, each read as the Y factor it names."""
     d = {}
     for tok in _exponent_map_tokens(text):
-        tok2 = tok.replace("X[", "Y[", 1) if tok.startswith("X[") else tok
-        factor = _parse_factor(tok2)
-        if factor[0] != "Y":
+        if not tok.startswith("X["):
             raise ParseError(f"Rep-monomial may only contain X factors, got {tok!r}")
-        _, i, l, e = factor
+        _, i, l, e = _parse_factor("Y" + tok[1:])
         if e < 0:
             raise ParseError(f"negative exponent in Rep-monomial factor {tok!r}")
         d[(i, l)] = d.get((i, l), 0) + e
@@ -172,4 +161,4 @@ def parse_rep_monomial(text: str) -> Monomial:
 
 def format_rep_monomial(m: Monomial) -> str:
     """The Y-grammar form of m with X in place of Y; "1" for the unit."""
-    return format_basis_monomial(m).replace("Y[", "X[")
+    return str(m).replace("Y[", "X[")

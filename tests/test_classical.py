@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from qtchar import algebra
-from qtchar.algebra import Monomial
+from qtchar import algebra, classical
+from qtchar.algebra import Monomial, YtAlgebra
 from qtchar.characters import fundamental, t_algorithm
 from qtchar.classical import (
     cc_add,
@@ -13,7 +13,7 @@ from qtchar.classical import (
     sl2_classical_e,
     sl2_classical_f,
 )
-from qtchar.errors import NotDominant
+from qtchar.errors import InternalInconsistency, NotDominant
 from qtchar.sl2 import classic_L, is_irregular
 
 
@@ -59,6 +59,28 @@ def test_classical_is_the_t1_shadow_of_the_t_algorithm(name):
     for i in alg.cartan.nodes():
         cc = classical_algorithm(alg, Monomial.y(i, 0))
         assert cc == fundamental(alg, i).at_one()
+
+
+@pytest.mark.parametrize("name,node", [("G2", 2), ("E6", 1)])
+def test_classical_heap_needs_no_a_depth(monkeypatch, name, node):
+    """The heap is keyed by 2<wt(m_plus) - wt(m), rho^v>, read from the heights."""
+    alg = algebra(name)
+    want = t_algorithm(alg, Monomial.y(node, 0)).at_one()
+
+    def refuse(*_args):
+        raise AssertionError("classical_algorithm called YtAlgebra.a_depth")
+
+    monkeypatch.setattr(YtAlgebra, "a_depth", refuse)
+    assert classical_algorithm(alg, Monomial.y(node, 0)) == want
+
+
+def test_classical_lift_above_the_popped_monomial_is_refused(monkeypatch, a2):
+    def upward(_alg, _i, m):
+        return {m: 1, m.times(Monomial.y(2, 1)): 1}
+
+    monkeypatch.setattr(classical, "classical_f_i", upward)
+    with pytest.raises(InternalInconsistency, match="is not below"):
+        classical_algorithm(a2, Monomial.y(1, 0))
 
 
 def test_classical_past_depth_60(sl2):

@@ -1,16 +1,22 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtchar import cartan, cli
+import qtchar
+from qtchar import algebra, cartan, cli
+from qtchar.algebra import Monomial
+from qtchar.characters import t_algorithm
 from qtchar.cli import main
 from qtchar.errors import InternalInconsistency
-from qtchar.grammar import parse_element
+from qtchar.grammar import parse_element, serialize_element
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -316,10 +322,48 @@ def test_every_format_and_t1_combination(capsys, command, fmt, t1):
         # E6 node 4 reaches A-depth 42: the cap passes up front and fires in the loop
         (["tchar", "--cartan", "E6", "--budget-monomials", "43", "Y[4,0]"], 4, "",
          "budget exceeded: more than 43 monomials discovered\n"),
+        # the term X[1,0]^0 X[1,2]^0 = 1 has coefficient t^-1 - t, which vanishes at t = 1
+        (["product", "--t1", "--format", "text", "X[1,2]", "X[1,0]"], 0,
+         "(1)  X[1,0] X[1,2]\n", ""),
+        (["product", "Y[1,0]", "X[1,2]"], 2, "",
+         "parse error: Rep-monomial may only contain X factors, got 'Y[1,0]'\n"),
     ],
 )
 def test_pinned_rows(capsys, argv, code, out, err):
     assert run(capsys, *argv) == (code, out, err)
+
+
+@pytest.mark.parametrize("t1", [False, True], ids=["plain", "t1"])
+def test_tchar_json_spans_several_batches(capsys, t1):
+    """E6 node 4 is 55,572 encoder chunks (35,118 at t = 1): _emit writes it in
+    four (three) batches, the last one partial, with the bytes of json.dumps."""
+    seed = Monomial.y(4, 0)
+    x = t_algorithm(algebra("E6"), seed)
+    element = serialize_element(x)
+    if t1:
+        element = {"terms": [{"coeff": c, "monomial": str(m)}
+                             for m, c in sorted(x.at_one().items(), key=lambda mc: mc[0].sortkey())]}
+    payload = {"seed": str(seed), "element": element}
+    chunks = sum(1 for _ in json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload))
+    assert chunks > 2 * (1 << 14) and chunks % (1 << 14)
+    code, out, err = run(capsys, "tchar", "--cartan", "E6", *(["--t1"] if t1 else []), "Y[4,0]")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [["tchar", "Y[1,0]"], ["tchar", "--cartan", "E6", "Y[4,0]"]],
+                         ids=["small", "e6_node4"])
+def test_closed_stdout_exits_1_without_traceback(argv):
+    src = os.path.dirname(os.path.dirname(qtchar.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-m", "qtchar.cli", *argv], env=env,
+                                stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (1, b"")
 
 
 def test_internal_inconsistency_exit_5(capsys, monkeypatch):
