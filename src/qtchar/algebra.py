@@ -12,7 +12,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .cartan import InvCartanSeries, SymmetrizedCartan
-from .errors import InternalInconsistency, NotSimplyLaced, ParseError
+from .errors import NotSimplyLaced, ParseError
 from .tpoly import ONE, ZERO, TPoly
 
 _level_node = itemgetter(1, 0)  # order (node, level) keys level-major
@@ -457,10 +457,8 @@ class YtAlgebra:
         A_{i,l}^-1 lowers by exactly 2.  ParseError for a node outside 1..n.
         """
         self.within_rank(m_plus)
-        bound = 2 * sum(self.cartan.heights[i - 1] * e for (i, _), e in m_plus.items())
-        if bound.denominator != 1:
-            raise InternalInconsistency(f"2<wt({m_plus}), rho^v> = {bound} is not an integer")
-        return int(bound)
+        twice = self.cartan.double_heights
+        return sum(twice[i - 1] * e for (i, _), e in m_plus.items())
 
     def within_rank(self, m: Monomial) -> Monomial:
         """m itself, once every node in it is a node of this algebra; else ParseError."""

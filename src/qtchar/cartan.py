@@ -112,7 +112,8 @@ class SymmetrizedCartan:
     NotFiniteType unless D C is positive definite.  heights[k - 1] =
     ht(omega_k) = <omega_k, rho^v>, the k-th column sum of C^-1: A_{i,l}
     has weight alpha_i = sum_j C_ji omega_j, so omega_k has root
-    coordinates in column k of C^-1.
+    coordinates in column k of C^-1.  double_heights holds the integers
+    2 ht(omega_k) (InternalInconsistency if one is not an integer).
     """
 
     def __init__(self, entries):
@@ -143,6 +144,9 @@ class SymmetrizedCartan:
         self.cz = [[{r: 1, -r: 1} if i == j else quantum_integer(c) for j, c in enumerate(row)]
                    for i, (r, row) in enumerate(zip(self.r, entries))]
         self.heights = [sum(column) for column in zip(*_inverse(entries))]
+        self.double_heights = [int(2 * h) for h in self.heights]
+        if self.double_heights != [2 * h for h in self.heights]:
+            raise InternalInconsistency(f"2 ht(omega_k) for {self.heights} are not all integers")
 
     def c(self, i: int, j: int) -> int:
         """Entry C_{i,j}, 1-based."""

@@ -148,15 +148,17 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
     that lives only for this call holds its result once per part, keyed by
     the unbiased node-i fields, which do not change as slots are added; a
     miss passes lift_it the decoded m.  Coefficients are summed per
-    monomial and node as integer maps {t-exponent: integer} and made into
-    TPolys once, when the monomial is processed.  A non-dominant monomial
-    must receive the same value from every node where it has a negative
-    exponent; disagreement aborts loudly, and so does an A-depth past the
-    bound of depth_bound.  A max_a_depth below that bound fails before the
-    loop, since the result reaches the bound.  Each depth is decoded once,
-    when it comes, and processed in sortkey order, each nonzero s(m) going
-    straight into the result under its decoded m, so the terms come in
-    (A-depth, sortkey) order.
+    monomial and node as integer maps {t-exponent: integer}.  A non-dominant
+    monomial must receive the same value from every node where it has a
+    negative exponent; the maps are compared as dicts, and as TPolys (no
+    zero entries) only where they differ.  Disagreement aborts loudly, and
+    so does an A-depth past the bound of depth_bound.  Equal s(m) share one
+    TPoly per call, looked up by the map's items and built only on a miss.
+    A max_a_depth below that bound fails before the loop, since the result
+    reaches the bound.  Each depth is decoded once, when it comes, and
+    processed in sortkey order, each nonzero s(m) going straight into the
+    result under its decoded m, so the terms come in (A-depth, sortkey)
+    order.
     """
     if not m_plus.is_dominant():
         raise NotDominant(f"seed {m_plus} is not dominant")
@@ -171,6 +173,7 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
     lifts = {}  # unbiased node-i fields of m -> [(packed Y-delta, sum W, coefficient items)]
     buckets = {0: [x_plus]}  # A-depth -> the packed monomials discovered there
     s = {}  # decoded m -> nonzero s(m), in (A-depth, sortkey) order
+    shared = {frozenset(ONE.coeffs.items()): ONE}  # coefficient items -> the one TPoly of s(m)
     found = 1
     while buckets:
         depth_m = min(buckets)
@@ -191,11 +194,16 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
             elif not neg:
                 raise InternalInconsistency(f"{m} below the seed {m_plus} is dominant")
             else:
-                vals = [TPoly.adopt(si[i]) if i in si else ZERO for i in neg]
-                for v in vals[1:]:
-                    if v != vals[0]:
-                        raise AlgorithmFails(f"node values disagree at {m}: {vals[0]} vs {v}")
-                sm = vals[0]
+                raw = si.get(neg[0], {})
+                for v in (si.get(i, {}) for i in neg[1:]):
+                    if v != raw and TPoly.adopt(v) != TPoly.adopt(raw):  # adopt drops zeros
+                        raise AlgorithmFails(
+                            f"node values disagree at {m}: {TPoly.adopt(raw)} vs {TPoly.adopt(v)}")
+                items = frozenset(raw.items())
+                sm = shared.get(items)
+                if sm is None:  # keyed again without the zero entries that adopt drops
+                    sm = TPoly.adopt(raw)
+                    sm = shared[items] = shared.setdefault(frozenset(raw.items()), sm)
             if not sm:
                 continue
             s[m] = sm

@@ -141,8 +141,8 @@ def classical_algorithm(alg: YtAlgebra, m_plus: Monomial,
     if not m_plus.is_dominant():
         raise NotDominant(f"seed {m_plus} is not dominant")
     nodes = list(alg.cartan.nodes())
-    # 2<omega_i, rho^v> is an integer, and each A_{i,l}^-1 lowers 2<wt, rho^v> by 2
-    h2 = [int(2 * h) for h in alg.cartan.heights]
+    # each A_{i,l}^-1 lowers 2<wt, rho^v> by 2
+    h2 = alg.cartan.double_heights
     top = sum(h2[i - 1] * e for (i, _), e in m_plus.items())
     acc = {i: {} for i in nodes}
     s = {}

@@ -19,7 +19,8 @@ from .algebra import YtAlgebra
 from .cartan import cartan_from_json
 from .characters import Budget, RepElement, character_tree, lt_and_kl, star_product, t_algorithm
 from .errors import BudgetExceeded, DomainError, ParseError, QtcharError, parse_int
-from .grammar import format_rep_monomial, parse_basis_monomial, parse_rep_monomial, serialize_tpoly
+from .grammar import (format_rep_monomial, parse_basis_monomial, parse_rep_monomial,
+                      serialize_tpoly, term_list)
 from .suites import SUITES
 
 EXIT_OK = 0
@@ -67,15 +68,17 @@ def _emit(obj):
 
 def _write_terms(args, x, name, wrap):
     """Print the terms of x in sortkey order, as "(c)  monomial" lines or as the
-    JSON object wrap({"terms": [...]}), each monomial written by name.  With
-    --t1 each coefficient is taken at t = 1 and the terms that vanish drop out."""
+    JSON object wrap({"terms": [...]}), each monomial written by name; without
+    --t1 the JSON terms come from grammar.term_list.  With --t1 each
+    coefficient is taken at t = 1 and the terms that vanish drop out."""
+    if args.format == "json" and not args.t1:
+        return _emit(wrap({"terms": term_list(x, name)}))
     rows = [(m, c) for m, p in x.sorted_terms() if (c := p.at_one() if args.t1 else p)]
     if args.format == "text":
         for m, c in rows:
             print(f"({c})  {name(m)}")
     else:
-        _emit(wrap({"terms": [{"coeff": c if args.t1 else serialize_tpoly(c), "monomial": name(m)}
-                              for m, c in rows]}))
+        _emit(wrap({"terms": [{"coeff": c, "monomial": name(m)} for m, c in rows]}))
 
 
 def _dot_tree(vertices, edges) -> str:

@@ -28,19 +28,19 @@ from .tpoly import TPoly
 
 # re.ASCII: \d must not match other Unicode digits, which int() would accept
 _FACTOR = re.compile(
-    r"^(?P<var>[YA])\[(?P<idx>-?\d+(?:,-?\d+)?)\](?:\^(?P<exp>-?\d+))?$", re.ASCII
+    r"^(?P<var>[YAX])\[(?P<idx>-?\d+(?:,-?\d+)?)\](?:\^(?P<exp>-?\d+))?$", re.ASCII
 )
 _TPOW = re.compile(r"^t(?:\^(?P<exp>-?\d+))?$", re.ASCII)
 
 
-def _parse_factor(tok: str):
-    """Return ('t', a) or (var, i, l, e)."""
+def _parse_factor(tok: str, variables: str = "YA"):
+    """Return ('t', a) or (var, i, l, e), var one of variables."""
     what = f"factor {tok[:20]!r}"
     m = _TPOW.match(tok)
     if m:
         return ("t", parse_int(m.group("exp") or "1", what))
     m = _FACTOR.match(tok)
-    if not m:
+    if not m or m.group("var") not in variables:
         raise ParseError(f"bad factor {tok!r}")
     idx = [parse_int(text, what) for text in m.group("idx").split(",")]
     i, l = idx if len(idx) == 2 else (1, idx[0])
@@ -126,13 +126,17 @@ def parse_tpoly(obj: dict) -> TPoly:
     return TPoly({int(e): int(c) for e, c in obj.items()})
 
 
+def term_list(x, name=str) -> list:
+    """The terms of x in sortkey order as {"coeff": ..., "monomial": name(m)} dicts.
+    Each coefficient object is serialized once and its dict shared; keying by id
+    is sound because x keeps every coefficient alive for the whole call."""
+    objects = {id(p): p for _, p in x.items()}
+    memo = {k: serialize_tpoly(p) for k, p in objects.items()}
+    return [{"coeff": memo[id(p)], "monomial": name(m)} for m, p in x.sorted_terms()]
+
+
 def serialize_element(x: YtElement) -> dict:
-    return {
-        "terms": [
-            {"coeff": serialize_tpoly(p), "monomial": str(m)}
-            for m, p in x.sorted_terms()
-        ]
-    }
+    return {"terms": term_list(x)}
 
 
 def parse_element(obj: dict) -> YtElement:
@@ -152,7 +156,7 @@ def parse_rep_monomial(text: str) -> Monomial:
     for tok in _exponent_map_tokens(text):
         if not tok.startswith("X["):
             raise ParseError(f"Rep-monomial may only contain X factors, got {tok!r}")
-        _, i, l, e = _parse_factor("Y" + tok[1:])
+        _, i, l, e = _parse_factor(tok, "X")
         if e < 0:
             raise ParseError(f"negative exponent in Rep-monomial factor {tok!r}")
         d[(i, l)] = d.get((i, l), 0) + e

@@ -277,6 +277,23 @@ def test_validation_errors():
     assert a1_a2.heights == [Fraction(1, 2), 1, 1]
 
 
+@pytest.mark.parametrize("entries,twice", [([[2, 0, 0], [0, 2, -1], [0, -1, 2]], [1, 2, 2]),
+                                           ([[2, -1], [-3, 2]], [10, 6])])
+def test_double_heights_are_integers(entries, twice):
+    """double_heights holds 2 ht(omega_k) as ints, which depth_bound sums."""
+    c = SymmetrizedCartan(entries)
+    assert c.double_heights == [2 * h for h in c.heights] == twice
+    assert all(type(h2) is int for h2 in c.double_heights)
+
+
+def test_non_integral_double_height_is_inconsistent(monkeypatch):
+    """2<omega_k, rho^v> is an integer for every finite type; an inverse whose
+    column sums break that is refused when the Cartan layer is built."""
+    monkeypatch.setattr(cartan, "_inverse", lambda entries: [[Fraction(1, 4)]])
+    with pytest.raises(InternalInconsistency, match="not all integers"):
+        SymmetrizedCartan([[2]])
+
+
 def test_symmetrizable_consistency():
     # a 3-cycle with inconsistent ratios cannot be symmetrized
     with pytest.raises((NotSymmetrizable, NotFiniteType)):

@@ -140,6 +140,37 @@ def test_each_depth_is_decoded_once_when_it_comes(monkeypatch, name, node, terms
     assert len(calls) == terms
 
 
+@pytest.mark.parametrize("name,node,values", [("E6", 4, 7), ("G2", 2, 1)])
+def test_equal_coefficients_are_one_object(name, node, values):
+    """Equal s(m) share one TPoly: in the result of t_algorithm, in
+    fundamental's cache and in a shift of it."""
+    alg = algebra(name)
+    seed = Monomial.y(node, 0)
+    for x in (t_algorithm(alg, seed), fundamental(alg, node), fundamental(alg, node, 3)):
+        coeffs = [p for _, p in x.items()]
+        assert len(set(coeffs)) == values
+        assert len({id(p) for p in coeffs}) == values
+
+
+def test_zero_entries_are_no_disagreement(monkeypatch):
+    """A zero left in a node's coefficient map (here an extra t^99 item with
+    coefficient 0 on every node-1 lift) is no disagreement with a node whose
+    map lacks it: the maps differ as dicts but agree as TPolys."""
+    alg = algebra("A2")
+    seed = Monomial({(1, 0): 1, (2, 1): 1})
+    want = t_algorithm(alg, seed)
+    real_lift_it = screening.lift_it
+
+    def lift_with_zero(alg, i, m):
+        return [(d, w, coeff + ((99, 0),) if i == 1 else coeff)
+                for d, w, coeff in real_lift_it(alg, i, m)]
+
+    monkeypatch.setattr(characters, "lift_it", lift_with_zero)
+    got = t_algorithm(alg, seed)
+    assert got == want
+    assert all(99 not in p.coeffs for _, p in got.items())
+
+
 def _lifted(alg, seed):
     """(i, m) for each lift of the frontier loop: every monomial m of the
     result and node i where m has a Y_i factor and is i-dominant."""

@@ -327,6 +327,9 @@ def test_every_format_and_t1_combination(capsys, command, fmt, t1):
          "(1)  X[1,0] X[1,2]\n", ""),
         (["product", "Y[1,0]", "X[1,2]"], 2, "",
          "parse error: Rep-monomial may only contain X factors, got 'Y[1,0]'\n"),
+        # an X factor's errors quote the X token the user typed
+        (["product", "X[oops]", "X[1,0]"], 2, "", "parse error: bad factor 'X[oops]'\n"),
+        (["product", "X[1,0]^0", "X[1,0]"], 2, "", "parse error: zero exponent in 'X[1,0]^0'\n"),
     ],
 )
 def test_pinned_rows(capsys, argv, code, out, err):

@@ -1,8 +1,10 @@
+import json
 import random
 
 import pytest
 
 from qtchar.algebra import Monomial, YtElement
+from qtchar.characters import RepElement
 from qtchar.errors import ParseError
 from qtchar.grammar import (
     format_rep_monomial,
@@ -14,6 +16,7 @@ from qtchar.grammar import (
     parse_tpoly,
     serialize_element,
     serialize_tpoly,
+    term_list,
 )
 from qtchar.tpoly import ONE, TPoly
 
@@ -97,6 +100,45 @@ def test_element_serialization_roundtrip(b2):
     # the unit monomial serializes as "1", and "1" parses back to it
     with_unit = YtElement.unit().scale(TPoly.t_power(2)) + random_element(b2, rng)
     assert parse_element(serialize_element(with_unit)) == with_unit
+
+
+def _shared_coefficient_element(rng, rep):
+    """Terms on small random monomials (the unit among them), each coefficient
+    drawn from a pool whose members are shared by several terms, with equal
+    but distinct copies beside them; t-exponents and coefficients run
+    negative and multi-digit."""
+    pool = [ONE, TPoly({0: 1})]
+    for _ in range(rng.randrange(1, 5)):
+        p = TPoly({rng.randrange(-120, 121): rng.choice([-15, -1, 1, 2, 31])
+                   for _ in range(rng.randrange(1, 4))})
+        pool += [p, TPoly(dict(p.coeffs))]
+    terms = {Monomial.unit(): rng.choice(pool)}
+    for _ in range(rng.randrange(0, 12)):
+        d = {(rng.randrange(1, 4), rng.randrange(-12, 13)): rng.choice([1, 2, 11])
+             * (1 if rep else rng.choice([-1, 1])) for _ in range(rng.randrange(1, 4))}
+        terms[Monomial(d)] = rng.choice(pool)
+    return (RepElement if rep else YtElement)._adopt(terms)
+
+
+@pytest.mark.parametrize("rep", [False, True], ids=["yt", "rep"])
+def test_term_list_matches_per_term_serialization(rep):
+    """term_list writes the bytes of one freshly serialized dict per term, and
+    terms that hold one coefficient object share one dict."""
+    rng = random.Random(23)
+    name = format_rep_monomial if rep else str
+    cls = RepElement if rep else YtElement
+    elements = [_shared_coefficient_element(rng, rep) for _ in range(40)]
+    elements += [cls(), cls.from_monomial(Monomial.unit())]
+    for x in elements:
+        want = [{"coeff": serialize_tpoly(p), "monomial": name(m)} for m, p in x.sorted_terms()]
+        got = term_list(x, name)
+        for kwargs in ({"sort_keys": True}, {"sort_keys": True, "indent": 2}):
+            assert json.dumps(got, **kwargs) == json.dumps(want, **kwargs)
+        by_object = {}
+        for (_, p), term in zip(x.sorted_terms(), got):
+            assert by_object.setdefault(id(p), term["coeff"]) is term["coeff"]
+    x = elements[0]
+    assert serialize_element(x) == {"terms": term_list(x)}
 
 
 def test_unit_and_empty_exponent_maps():

@@ -3,8 +3,9 @@ referenced in that module, every module-level private function or class of
 qtchar is referenced somewhere in qtchar outside its own definition, every
 public function, class and method of qtchar is referenced somewhere in
 qtchar, tests/ or bench/ outside its own definition, every qtchar name that
-the bench's layer trace looks up exists, and the products suite checks the
-product workload's inputs.
+the bench's layer trace looks up exists, the products suite checks the
+product workload's inputs, and no module of qtchar but tpoly.py writes into
+a TPoly's coefficient map.
 
 qtchar/__init__.py is left out of the import check: it imports names only to
 re-export them.  Elsewhere `from m import x as x` marks a deliberate re-export.
@@ -150,3 +151,43 @@ def test_products_suite_checks_the_benchmark_inputs():
     products that the benchmark's product workload times."""
     jobs = _bench_module("jobs").WORKLOADS["product"].values()
     assert PRODUCT_INPUTS == [(cartan, *texts) for _kind, cartan, *texts in jobs]
+
+
+# the dict methods that change a dict in place
+_DICT_MUTATORS = {"pop", "update", "setdefault", "clear", "popitem"}
+
+
+def coeffs_writes(source: str):
+    """The lines that write into a `.coeffs` map or replace it: an item or
+    the map assigned, augmented or deleted, or a mutating dict method."""
+
+    def is_coeffs(node):
+        return isinstance(node, ast.Attribute) and node.attr == "coeffs"
+
+    lines = []
+    for n in ast.walk(ast.parse(source)):
+        # a Store context also marks the target of |=
+        if isinstance(getattr(n, "ctx", None), (ast.Store, ast.Del)) and (
+                is_coeffs(n) or isinstance(n, ast.Subscript) and is_coeffs(n.value)):
+            lines.append(n.lineno)
+        elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+              and n.func.attr in _DICT_MUTATORS and is_coeffs(n.func.value)):
+            lines.append(n.lineno)
+    return sorted(lines)
+
+
+def test_guard_sees_coeffs_writes():
+    source = ("p.coeffs[0] = 1\nq.coeffs[1] += 2\ndel x.y.coeffs[3]\np.coeffs.pop(0)\n"
+              "p.coeffs.update({})\np.coeffs.setdefault(1, 0)\np.coeffs.clear()\n"
+              "p.coeffs.popitem()\np.coeffs |= {}\np.coeffs = {}\ndel p.coeffs\n"
+              "c = p.coeffs[0]\nd = p.coeffs.get(0)\nfor e in p.coeffs.items(): pass\n")
+    assert coeffs_writes(source) == list(range(1, 12))
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "tpoly.py"],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_coeffs_writes_outside_tpoly(path):
+    """Equal coefficients are shared objects (t_algorithm keeps one TPoly per
+    value), which is sound only while no TPoly is edited after it is built;
+    tpoly.py alone builds them."""
+    assert coeffs_writes(path.read_text(encoding="utf-8")) == []
