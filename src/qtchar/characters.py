@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import struct
 import weakref
-from dataclasses import dataclass
 from itertools import compress
 
 from .algebra import Monomial, Terms, YtAlgebra, YtElement
@@ -21,9 +20,8 @@ from .screening import f_it, lift_it
 from .tpoly import ONE, TPoly, ZERO
 
 
-@dataclass(frozen=True)
 class Budget:
-    """Resource limits for the frontier computation.
+    """Resource limits for the frontier computation, immutable.
 
     max_a_depth is an optional cap on the A-depth.  The character of m_plus
     reaches exactly depth_bound(m_plus) = 2<wt(m_plus), rho^v>, so
@@ -31,12 +29,33 @@ class Budget:
     that bound, which no correct run can pass.
     """
 
-    max_monomials: int = 200000
-    max_a_depth: int | None = None
+    __slots__ = ("max_monomials", "max_a_depth")
 
-    def __post_init__(self):
-        if self.max_monomials < 1 or (self.max_a_depth is not None and self.max_a_depth < 1):
+    def __init__(self, max_monomials: int = 200000, max_a_depth: int | None = None):
+        if max_monomials < 1 or (max_a_depth is not None and max_a_depth < 1):
             raise ValueError("budgets must be >= 1")
+        object.__setattr__(self, "max_monomials", max_monomials)
+        object.__setattr__(self, "max_a_depth", max_a_depth)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a Budget is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a Budget is immutable")
+
+    def _key(self) -> tuple:
+        return self.max_monomials, self.max_a_depth
+
+    def __eq__(self, other):
+        if other.__class__ is not Budget:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"Budget(max_monomials={self.max_monomials!r}, max_a_depth={self.max_a_depth!r})"
 
 
 DEFAULT_BUDGET = Budget()
@@ -70,7 +89,11 @@ class _Packing:
     x + bias has each field nonnegative and its top bit set exactly when the
     exponent is >= 0, and (x + bias) ^ bias holds each exponent in W-bit
     two's complement.  Per node, tops holds 2^(W-1) and masks 2^W - 1 in
-    each of the node's slots."""
+    each of the node's slots, so bias is the sum of the tops.
+
+    Two callers: t_algorithm packs its frontier, decodes each depth and
+    tests node dominance on the tops; dominant_product packs its factor
+    terms and its supplies and never decodes."""
 
     def __init__(self, nodes, reach: int):
         """Fields of the narrowest width in _FIELDS that holds every exponent of
@@ -293,58 +316,81 @@ def e_t_normalized(alg: YtAlgebra, m: Monomial, budget: Budget = DEFAULT_BUDGET)
 def dominant_product(alg: YtAlgebra, keys, budget: Budget = DEFAULT_BUDGET) -> YtElement:
     """Dominant part of the ordered product of the shifted fundamentals Y_{i,l}, (i, l) in keys.
 
-    The factors are multiplied left to right, a partial term m1 times a
-    factor term m2 with the twist t^N(m1, m2).  The supply at (i, l) is the
-    sum, over the factors still to come, of each one's largest positive
-    exponent there; a partial term whose exponent at some (i, l) is below
-    minus the supply can reach no dominant monomial and is dropped.  Each
-    factor is indexed by its positive keys, so a partial term short at some
-    key is paired only with the factor terms that supply enough there.
-    Every kept partial product is held to budget.max_monomials.
+    star_product and _peel take products' dominant parts from here, and
+    _dominant_closure its members.  The factors are multiplied left to
+    right, a partial term m1 times a factor term m2 with the twist
+    t^N(m1, m2).  The supply at (i, l) is the sum, over the factors still
+    to come, of each one's largest positive exponent there; a product m1 m2
+    whose exponent at some (i, l) is below minus the supply can reach no
+    dominant monomial and is dropped.
+
+    The prune runs on _Packing's integers.  A partial product's exponent
+    at any key has absolute value at most the sum s, over the factors, of
+    each one's largest |exponent|, and adding the supply at most doubles
+    that, so the fields are wide enough for the reach 2s.  Each factor
+    term is encoded once, after the pass that finds s, since the width
+    must be known first; the supply after each factor is encoded once,
+    with the bias added, as S.  Then m1 m2 is x1 + x2, and it is short at
+    some key exactly when x1 + x2 + S lacks a top bit of the bias.  Each factor is indexed by the slots where its
+    terms are positive, so a partial term short at a slot is paired only
+    with the terms that cover the shortfall there.  Only a kept pair forms
+    its twist, and only a new product its monomial; partial terms are keyed
+    by their packed integers, so nothing is decoded.  Every kept partial
+    product is held to budget.max_monomials.
     """
     factors = [fundamental(alg, i, l, budget) for i, l in keys]
-    supplies = [{}]  # supplies[k]: the most that the factors after factor k add per key
-    for f in reversed(factors[1:]):
-        supply = dict(supplies[-1])
-        top = {}
+    highs, reach = [], 0  # per factor {key: largest positive exponent}; twice the sum of max|e|
+    for f in factors:
+        high, most = {}, 0
         for m in f.monomials():
-            for key, e in m.items():
-                if e > top.get(key, 0):
-                    top[key] = e
-        for key, e in top.items():
-            supply[key] = supply.get(key, 0) + e
-        supplies.append(supply)
-    supplies.reverse()
-    acc = {Monomial.unit(): ONE}
-    for f, supply in zip(factors, supplies):
-        terms = list(f.items())
-        by_key = {}  # key -> [(exponent, m2, p2)] over the terms positive there
-        for m2, p2 in terms:
-            for key, e in m2.items():
+            for key, e in m.data:
+                if e > high.get(key, 0):
+                    high[key] = e
+                if abs(e) > most:
+                    most = abs(e)
+        highs.append(high)
+        reach += 2 * most
+    code = _Packing(alg.cartan.nodes(), reach)
+    rows = []  # per factor: its terms (x, m, p), and {slot: [(exponent, term)]} where positive
+    for f in factors:
+        terms, by_slot = [], {}
+        for m, p in f.items():
+            term = (code.encode(m), m, p)
+            terms.append(term)
+            for key, e in m.data:
                 if e > 0:
-                    by_key.setdefault(key, []).append((e, m2, p2))
-        out = {}
-        for m1, p1 in acc.items():
+                    by_slot.setdefault(code.slot[key], []).append((e, term))
+        rows.append((terms, by_slot))
+    w, bias = code.width, code.bias  # read once every slot exists
+    supplies = [bias]  # supplies[k]: the bias plus the most that the factors after factor k add
+    for high in reversed(highs[1:]):
+        supplies.append(supplies[-1] + sum(e << w * code.slot[key] for key, e in high.items()))
+    supplies.reverse()
+    half, field = 1 << (w - 1), (1 << w) - 1
+    acc = [(0, Monomial.unit(), ONE)]
+    for (terms, by_slot), supply in zip(rows, supplies):
+        out = {}  # packed m1 m2 -> (m1 m2, coefficient)
+        for x1, m1, p1 in acc:
             candidates = terms
-            for key, e in m1.items():
-                short = -e - supply.get(key, 0)
-                if short > 0:
-                    candidates = [(m2, p2) for e2, m2, p2 in by_key.get(key, ()) if e2 >= short]
-                    break
-            for m2, p2 in candidates:
-                m = m1.times(m2)
-                if any(e < 0 and e + supply.get(key, 0) < 0 for key, e in m.items()):
+            z = x1 + supply
+            short = ~z & bias  # the top bits of the slots where m1 is short
+            if short:  # the terms that cover m1's shortfall at its lowest short slot
+                k = (short & -short).bit_length() // w - 1
+                need = half - (z >> w * k & field)
+                candidates = [term for e, term in by_slot.get(k, ()) if e >= need]
+            for x2, m2, p2 in candidates:
+                x = x1 + x2
+                if (x + supply) & bias != bias:
                     continue
                 q = p1 * p2 * TPoly.t_power(alg.bichar_n(m1, m2))
-                if m in out:
-                    q = out[m] + q
-                out[m] = q
-        acc = {m: p for m, p in out.items() if p}
+                hit = out.get(x)
+                out[x] = (m1.times(m2), q) if hit is None else (hit[0], hit[1] + q)
+        acc = [(x, m, p) for x, (m, p) in out.items() if p]
         if len(acc) > budget.max_monomials:
             raise BudgetExceeded(
                 f"partial product reached {len(acc)} monomials, more than {budget.max_monomials}"
             )
-    return YtElement(acc)
+    return YtElement({m: p for _, m, p in acc})
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,20 @@ def test_budget_validation():
         Budget(max_a_depth=0)
 
 
+def test_budget_is_an_immutable_value():
+    b = Budget(300, 40)
+    assert b == Budget(max_monomials=300, max_a_depth=40) != Budget()
+    assert hash(b) == hash(Budget(300, 40))
+    assert repr(Budget()) == "Budget(max_monomials=200000, max_a_depth=None)"
+    assert (b.max_monomials, b.max_a_depth) == (300, 40)
+    with pytest.raises(AttributeError):
+        b.max_monomials = 1
+    with pytest.raises(AttributeError):
+        del b.max_a_depth
+    with pytest.raises(AttributeError):
+        b.other = 1
+
+
 def test_fundamental_sizes():
     sizes = {"A1": [2], "A2": [3, 3], "B2": [4, 5], "G2": [7, 15]}
     for name, want in sizes.items():
@@ -465,17 +479,50 @@ def test_chi_qt_inverse_leaves_its_argument_unchanged(b2):
     assert all(z.terms[m] is p for m, p in before)
 
 
-@pytest.mark.parametrize("name", ["A3", "B2", "G2"])
+@pytest.mark.parametrize("name", ["A3", "B2", "G2", "D4", "E6"])
 def test_dominant_product_is_dominant_part_of_ordered_product(name):
-    """Pruned and indexed, in any factor order, against the full twisted product."""
+    """Pruned and indexed, in any factor order, against the full twisted product.
+    E6 draws from its 27- and 78-term fundamentals only, to keep the full
+    products small."""
     alg = algebra(name)
-    nodes = list(alg.cartan.nodes())
+    nodes = {"E6": [1, 2, 6]}.get(name, list(alg.cartan.nodes()))
     rng = random.Random(f"dominant_product:{name}")
     for _ in range(8):
         keys = [(rng.choice(nodes), rng.randrange(0, 5)) for _ in range(rng.randrange(1, 4))]
         full = alg.mul(*(fundamental(alg, i, l) for i, l in keys))
         assert dominant_product(alg, keys) == YtElement(full.dominant_part()), keys
     assert dominant_product(alg, []) == YtElement.unit()
+
+
+def test_dominant_product_keeps_a_term_that_needs_the_whole_supply(sl2):
+    """In Y[1,0] * Y[1,2], the term Y[1,2]^-1 of the first factor meets the
+    supply 1 at (1, 2) exactly, and only the pair with Y[1,2] reaches the unit;
+    the other two products have a negative exponent left."""
+    keys = [(1, 0), (1, 2)]
+    full = sl2.mul(*(fundamental(sl2, i, l) for i, l in keys))
+    got = dominant_product(sl2, keys)
+    assert got == YtElement(full.dominant_part())
+    assert sorted(map(str, got.monomials())) == ["1", "Y[1,0] Y[1,2]"]
+
+
+@pytest.mark.parametrize("n,width", [(63, 8), (64, 16)])
+def test_dominant_product_at_the_field_width_edge(monkeypatch, sl2, n, width):
+    """n copies of the A1 fundamental Y[1,0], each with largest |exponent| 1,
+    have the proven reach 2n: 126 still fits 8-bit fields, 128 needs 16-bit
+    ones."""
+    fundamental(sl2, 1)  # built before the patch, so only dominant_product packs
+    widths = []
+
+    class Recorded(_Packing):
+        def __init__(self, nodes, reach):
+            super().__init__(nodes, reach)
+            widths.append(self.width)
+
+    monkeypatch.setattr(characters, "_Packing", Recorded)
+    keys = [(1, 0)] * n
+    full = sl2.mul(*(fundamental(sl2, i, l) for i, l in keys))
+    assert dominant_product(sl2, keys) == YtElement(full.dominant_part())
+    assert widths == [width]
 
 
 def test_chi_qt_inverse_rejects_an_element_outside_the_image(b2):

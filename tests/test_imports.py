@@ -5,7 +5,7 @@ public function, class and method of qtchar is referenced somewhere in
 qtchar, tests/ or bench/ outside its own definition, every qtchar name that
 the bench's layer trace looks up exists, the products suite checks the
 product workload's inputs, and no module of qtchar but tpoly.py writes into
-a TPoly's coefficient map.
+a TPoly's coefficient map.  `import qtchar` loads neither dataclasses nor inspect.
 
 qtchar/__init__.py is left out of the import check: it imports names only to
 re-export them.  Elsewhere `from m import x as x` marks a deliberate re-export.
@@ -14,6 +14,9 @@ re-export them.  Elsewhere `from m import x as x` marks a deliberate re-export.
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -191,3 +194,13 @@ def test_no_coeffs_writes_outside_tpoly(path):
     value), which is sound only while no TPoly is edited after it is built;
     tpoly.py alone builds them."""
     assert coeffs_writes(path.read_text(encoding="utf-8")) == []
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """dataclasses brings inspect, ast and dis, most of the package's import
+    time.  Checked in a fresh interpreter, since pytest itself loads inspect."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, qtchar; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
