@@ -72,7 +72,8 @@ class Monomial:
         return Monomial.from_sorted(tuple(sorted(d.items())))
 
     def shift(self, dl: int) -> "Monomial":
-        return Monomial({(i, l + dl): e for (i, l), e in self.data})
+        # a uniform level shift keeps data sorted and zero-free
+        return Monomial.from_sorted(tuple([((i, l + dl), e) for (i, l), e in self.data]))
 
     def levels(self):
         return sorted({l for (_, l), _ in self.data})

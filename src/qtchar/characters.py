@@ -3,9 +3,8 @@ and the bar-invariant canonical basis with its KL-analogue polynomials."""
 
 from __future__ import annotations
 
-import struct
 import weakref
-from itertools import compress
+from operator import itemgetter
 
 from .algebra import Monomial, Terms, YtAlgebra, YtElement
 from .errors import (
@@ -77,8 +76,8 @@ def _depth_bound_in_budget(alg: YtAlgebra, m: Monomial, budget: Budget) -> int:
     return bound
 
 
-# field widths W, each with the struct format of a W-bit signed integer
-_FIELDS = ((8, "b"), (16, "h"), (32, "i"), (64, "q"))
+# field widths W, narrowest first; a W-bit field holds |exponent| < 2^(W-1)
+_WIDTHS = (8, 16, 32, 64)
 
 
 class _Packing:
@@ -88,28 +87,26 @@ class _Packing:
     has absolute value below 2^(W-1).  bias holds 2^(W-1) in every slot, so
     x + bias has each field nonnegative and its top bit set exactly when the
     exponent is >= 0, and (x + bias) ^ bias holds each exponent in W-bit
-    two's complement.  Per node, tops holds 2^(W-1) and masks 2^W - 1 in
-    each of the node's slots, so bias is the sum of the tops.
+    two's complement.  Per node, masks holds 2^W - 1 in each of the node's
+    slots, and (x + bias) ^ bias & masks[i] is x's node-i part.
 
-    Two callers: t_algorithm packs its frontier, decodes each depth and
-    tests node dominance on the tops; dominant_product packs its factor
-    terms and its supplies and never decodes."""
+    Two callers: t_algorithm packs its frontier and unpacks each node part
+    it has not seen before; dominant_product packs its factor terms and its
+    supplies and never unpacks."""
 
     def __init__(self, nodes, reach: int):
-        """Fields of the narrowest width in _FIELDS that holds every exponent of
+        """Fields of the narrowest width in _WIDTHS that holds every exponent of
         absolute value at most reach."""
-        fits = [(w, f) for w, f in _FIELDS if reach < 1 << (w - 1)]
+        fits = [w for w in _WIDTHS if reach < 1 << (w - 1)]
         if not fits:
             raise BudgetExceeded(f"exponents up to {reach} do not fit 64-bit fields")
-        self.width, self.fmt = fits[0]
+        self.width = fits[0]
         self.nodes = list(nodes)
         self.slot = {}  # (node, level) -> slot
         self.keys = []  # slot -> (node, level)
         self.bias = 0
-        self.tops = [0] * len(self.nodes)
         self.masks = [0] * len(self.nodes)
-        self._decoding = -1  # the number of slots that decode's tables cover
-        self._pairs = []  # slot -> {exponent: (key, exponent)}, kept for the whole call
+        self._pairs = {}  # one field, in place -> its (key, exponent), kept for the whole call
 
     def encode(self, m: Monomial) -> int:
         x = 0
@@ -119,36 +116,28 @@ class _Packing:
             if k is None:
                 k = self.slot[key] = len(self.keys)
                 self.keys.append(key)
-                half = 1 << (w * k + w - 1)
-                self.bias += half
-                at = self.nodes.index(key[0])
-                self.tops[at] |= half
-                self.masks[at] |= ((1 << w) - 1) << (w * k)
+                self.bias += 1 << (w * k + w - 1)
+                self.masks[self.nodes.index(key[0])] |= ((1 << w) - 1) << (w * k)
             x += e << (w * k)
         return x
 
-    def decode(self, x: int) -> Monomial:
-        """The monomial of x.  t_algorithm decodes each depth once, when it
-        comes; the (key, exponent) pairs are kept for the whole call and shared
-        between the monomials decoded, since a slot's key never changes."""
-        n = len(self.keys)
-        if self._decoding != n:  # slots were added since the last decode
-            self._decoding = n
-            self._fields = struct.Struct(f"<{n}{self.fmt}")
-            self._rank = [0] * n
-            for r, k in enumerate(sorted(range(n), key=self.keys.__getitem__)):
-                self._rank[k] = r
-            self._pairs += ({} for _ in range(len(self._pairs), n))
-        raw = ((x + self.bias) ^ self.bias).to_bytes(n * self.width // 8, "little")
-        fields = self._fields.unpack(raw)
-        data = []
-        for k in sorted(compress(range(n), fields), key=self._rank.__getitem__):
-            e = fields[k]
-            kv = self._pairs[k].get(e)
+    def unpack(self, part: int) -> tuple:
+        """The sorted (key, exponent) pairs of a node part.  A pair is made once
+        and shared by every part that holds it, since a slot's key never
+        changes."""
+        w = self.width
+        field, half = (1 << w) - 1, 1 << (w - 1)
+        pairs = []
+        while part:
+            at = ((part & -part).bit_length() - 1) // w * w  # the lowest nonzero field
+            bits = part & (field << at)
+            part ^= bits
+            kv = self._pairs.get(bits)
             if kv is None:
-                kv = self._pairs[k][e] = (self.keys[k], e)
-            data.append(kv)
-        return Monomial.from_sorted(tuple(data))
+                e = bits >> at
+                kv = self._pairs[bits] = (self.keys[at // w], e - (1 << w) if e >= half else e)
+            pairs.append(kv)
+        return tuple(sorted(pairs))
 
 
 def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGET) -> YtElement:
@@ -166,21 +155,23 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
     from the seed's, and the fields are wide enough for max|seed exponent|
     + depth_bound(m_plus); each edge's depth is checked against that bound
     before its add.  So m A^-W is one integer add of the lift's Y-delta,
-    hash and equality are integer ones, and node-i dominance is a mask test
-    on m plus the bias.  lift_it reads only the node-i part of m, so a memo
-    that lives only for this call holds its result once per part, keyed by
-    the unbiased node-i fields, which do not change as slots are added; a
-    miss passes lift_it the decoded m.  Coefficients are summed per
-    monomial and node as integer maps {t-exponent: integer}.  A non-dominant
-    monomial must receive the same value from every node where it has a
-    negative exponent; the maps are compared as dicts, and as TPolys (no
-    zero entries) only where they differ.  Disagreement aborts loudly, and
-    so does an A-depth past the bound of depth_bound.  Equal s(m) share one
-    TPoly per call, looked up by the map's items and built only on a miss.
-    A max_a_depth below that bound fails before the loop, since the result
-    reaches the bound.  Each depth is decoded once, when it comes, and
-    processed in sortkey order, each nonzero s(m) going straight into the
-    result under its decoded m, so the terms come in (A-depth, sortkey)
+    and hash and equality are integer ones.  A memo that lives only for
+    this call holds, per node part of m (_Packing), its sorted (key,
+    exponent) pairs, whether m is i-dominant there and, once asked for, its
+    lift; a part does not change as slots are added, and lift_it reads only
+    the node-i part of m.  Only a part not seen before is unpacked, and
+    since data is sorted node-major, m's data is its parts' pairs joined in
+    node order, with no sort per monomial.  Coefficients are summed per
+    monomial and node as integer maps {t-exponent: integer}.  A
+    non-dominant monomial must receive the same value from every node where
+    it has a negative exponent; the maps are compared as dicts, and as
+    TPolys (no zero entries) only where they differ.  Disagreement aborts
+    loudly, and so does an A-depth past the bound of depth_bound.  Equal
+    s(m) share one TPoly per call, looked up by the map's items and built
+    only on a miss.  A max_a_depth below that bound fails before the loop,
+    since the result reaches the bound.  Each depth is joined from its
+    parts when it comes and processed in sortkey order, each nonzero s(m)
+    going straight into the result, so the terms come in (A-depth, sortkey)
     order.
     """
     if not m_plus.is_dominant():
@@ -193,24 +184,33 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
     code = _Packing(alg.cartan.nodes(), max((abs(e) for _, e in m_plus.items()), default=0) + bound)
     x_plus = code.encode(m_plus)
     acc = {}  # packed monomial -> {node i: {t-exponent: integer coefficient}}
-    lifts = {}  # unbiased node-i fields of m -> [(packed Y-delta, sum W, coefficient items)]
+    parts = {}  # node-i part -> [its (key, exponent) pairs, i-dominant?, i, lift or None]
     buckets = {0: [x_plus]}  # A-depth -> the packed monomials discovered there
-    s = {}  # decoded m -> nonzero s(m), in (A-depth, sortkey) order
+    s = {}  # m -> nonzero s(m), in (A-depth, sortkey) order
     shared = {frozenset(ONE.coeffs.items()): ONE}  # coefficient items -> the one TPoly of s(m)
     found = 1
     while buckets:
         depth_m = min(buckets)
-        level = sorted(((code.decode(x), x) for x in buckets.pop(depth_m)),
-                       key=lambda mx: mx[0].sortkey())
-        for m, x in level:
-            xb = x + code.bias
-            ux = xb ^ code.bias
-            neg, parts = [], []  # nodes with a negative exponent in m; (node, memo key)
-            for i, top, mask in zip(code.nodes, code.tops, code.masks):
-                if xb & top != top:
-                    neg.append(i)
-                elif key := ux & mask:
-                    parts.append((i, key))
+        level = []  # (m.data, packed m, nodes where m is negative, m's i-dominant part entries)
+        bias, node_masks = code.bias, tuple(zip(code.nodes, code.masks))
+        for x in buckets.pop(depth_m):
+            ux = (x + bias) ^ bias
+            data, neg, lifted = [], [], []
+            for i, mask in node_masks:
+                if part := ux & mask:
+                    entry = parts.get(part)
+                    if entry is None:
+                        pairs = code.unpack(part)
+                        entry = parts[part] = [pairs, all(e > 0 for _, e in pairs), i, None]
+                    data += entry[0]
+                    if entry[1]:
+                        lifted.append(entry)
+                    else:
+                        neg.append(i)
+            level.append((tuple(data), x, neg, lifted))
+        level.sort(key=itemgetter(0))
+        for data, x, neg, lifted in level:
+            m = Monomial.from_sorted(data)
             si = acc.pop(x, {})
             if x == x_plus:
                 sm = ONE
@@ -231,11 +231,11 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
                 continue
             s[m] = sm
             sm_items = sm.coeffs.items()
-            for i, key in parts:
-                lift = lifts.get(key)
+            for entry in lifted:
+                _, _, i, lift = entry
                 if lift is None:
-                    lift = lifts[key] = [(code.encode(dl), dw, coeff)
-                                         for dl, dw, coeff in lift_it(alg, i, m)]
+                    lift = entry[3] = [(code.encode(dl), dw, coeff)
+                                       for dl, dw, coeff in lift_it(alg, i, m)]
                 for delta, depth_w, coeff in lift:
                     depth = depth_m + depth_w
                     if depth > bound:  # name the first term past the bound in full
@@ -335,7 +335,7 @@ def dominant_product(alg: YtAlgebra, keys, budget: Budget = DEFAULT_BUDGET) -> Y
     terms are positive, so a partial term short at a slot is paired only
     with the terms that cover the shortfall there.  Only a kept pair forms
     its twist, and only a new product its monomial; partial terms are keyed
-    by their packed integers, so nothing is decoded.  Every kept partial
+    by their packed integers, so nothing is unpacked.  Every kept partial
     product is held to budget.max_monomials.
     """
     factors = [fundamental(alg, i, l, budget) for i, l in keys]

@@ -19,8 +19,7 @@ from .algebra import YtAlgebra
 from .cartan import cartan_from_json
 from .characters import Budget, RepElement, character_tree, lt_and_kl, star_product, t_algorithm
 from .errors import BudgetExceeded, DomainError, ParseError, QtcharError, parse_int
-from .grammar import (format_rep_monomial, parse_basis_monomial, parse_rep_monomial,
-                      serialize_tpoly, term_list)
+from .grammar import Namer, parse_basis_monomial, parse_rep_monomial, serialize_tpoly, term_list
 from .suites import SUITES
 
 EXIT_OK = 0
@@ -66,11 +65,13 @@ def _emit(obj):
     sys.stdout.write("\n")
 
 
-def _write_terms(args, x, name, wrap):
+def _write_terms(args, x, letter, wrap):
     """Print the terms of x in sortkey order, as "(c)  monomial" lines or as the
-    JSON object wrap({"terms": [...]}), each monomial written by name; without
-    --t1 the JSON terms come from grammar.term_list.  With --t1 each
-    coefficient is taken at t = 1 and the terms that vanish drop out."""
+    JSON object wrap({"terms": [...]}), each monomial named by one
+    grammar.Namer(letter); without --t1 the JSON terms come from
+    grammar.term_list.  With --t1 each coefficient is taken at t = 1 and the
+    terms that vanish drop out."""
+    name = Namer(letter)
     if args.format == "json" and not args.t1:
         return _emit(wrap({"terms": term_list(x, name)}))
     rows = [(m, c) for m, p in x.sorted_terms() if (c := p.at_one() if args.t1 else p)]
@@ -99,7 +100,7 @@ def cmd_tchar(args) -> int:
     if args.format == "dot":
         print(_dot_tree(*character_tree(alg, seed, budget)))
         return EXIT_OK
-    _write_terms(args, t_algorithm(alg, seed, budget), str,
+    _write_terms(args, t_algorithm(alg, seed, budget), "Y",
                  lambda element: {"seed": str(seed), "element": element})
     return EXIT_OK
 
@@ -126,7 +127,7 @@ def cmd_product(args) -> int:
     budget = _budget(args)
     x = RepElement.from_monomial(alg.within_rank(parse_rep_monomial(args.left)))
     y = RepElement.from_monomial(alg.within_rank(parse_rep_monomial(args.right)))
-    _write_terms(args, star_product(alg, x, y, budget), format_rep_monomial, lambda terms: terms)
+    _write_terms(args, star_product(alg, x, y, budget), "X", lambda terms: terms)
     return EXIT_OK
 
 

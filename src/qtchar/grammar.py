@@ -126,10 +126,32 @@ def parse_tpoly(obj: dict) -> TPoly:
     return TPoly({int(e): int(c) for e, c in obj.items()})
 
 
-def term_list(x, name=str) -> list:
-    """The terms of x in sortkey order as {"coeff": ..., "monomial": name(m)} dicts.
-    Each coefficient object is serialized once and its dict shared; keying by id
-    is sound because x keeps every coefficient alive for the whole call."""
+class Namer(dict):
+    """Names monomials as str(m) does, with letter in place of Y ("X" names
+    them as format_rep_monomial does).  As a dict it maps each (key,
+    exponent) met to its factor text, L[i,l], or L[i,l]^e when e != 1, made
+    once on first use and kept as long as the namer."""
+
+    def __init__(self, letter: str = "Y"):
+        super().__init__()
+        self.letter = letter
+
+    def __missing__(self, kv):
+        (i, l), e = kv
+        text = self[kv] = f"{self.letter}[{i},{l}]" + (f"^{e}" if e != 1 else "")
+        return text
+
+    def __call__(self, m: Monomial) -> str:
+        return " ".join(map(self.__getitem__, m.data)) or "1"
+
+
+def term_list(x, name=None) -> list:
+    """The terms of x in sortkey order as {"coeff": ..., "monomial": name(m)} dicts,
+    name a new Namer() when None.  Each coefficient object is serialized once and
+    its dict shared; keying by id is sound because x keeps every coefficient
+    alive for the whole call."""
+    if name is None:  # not `name or`: a Namer with an empty table is falsy
+        name = Namer()
     objects = {id(p): p for _, p in x.items()}
     memo = {k: serialize_tpoly(p) for k, p in objects.items()}
     return [{"coeff": memo[id(p)], "monomial": name(m)} for m, p in x.sorted_terms()]

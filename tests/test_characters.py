@@ -139,19 +139,56 @@ def test_monomial_cap_fires_inside_the_loop():
 
 
 @pytest.mark.parametrize("name,node,terms", [("E6", 4, 2925), ("E8", 1, 3875)])
-def test_each_depth_is_decoded_once_when_it_comes(monkeypatch, name, node, terms):
-    """t_algorithm decodes every monomial once, at the start of its depth, and
-    nowhere else: one decode per term of these fundamentals."""
+def test_each_node_part_is_unpacked_once_per_call(monkeypatch, name, node, terms):
+    """t_algorithm unpacks each distinct node part of its monomials once per
+    call, and there are fewer parts than terms: one unpack per (node i,
+    node-i exponents) of the result."""
     calls = []
-    decode = _Packing.decode
+    unpack = _Packing.unpack
 
-    def counted(code, x):
-        calls.append(x)
-        return decode(code, x)
+    def counted(code, part):
+        calls.append(part)
+        return unpack(code, part)
 
-    monkeypatch.setattr(_Packing, "decode", counted)
-    assert len(t_algorithm(algebra(name), Monomial.y(node, 0))) == terms
-    assert len(calls) == terms
+    monkeypatch.setattr(_Packing, "unpack", counted)
+    result = t_algorithm(algebra(name), Monomial.y(node, 0))
+    assert len(result) == terms
+    parts = {(i, tuple(kv for kv in m.items() if kv[0][0] == i))
+             for m in result.monomials() for (i, _), _ in m.items()}
+    assert len(calls) == len(set(calls)) == len(parts) < terms
+
+
+@pytest.mark.parametrize(
+    "name,node",
+    [(name, i) for name in KERNEL_TYPES for i in algebra(name).cartan.nodes()]
+    + [("E6", i) for i in range(1, 7)],
+)
+def test_result_monomials_are_in_normal_form(name, node):
+    """Every monomial joined from node parts has sorted, zero-free data: it
+    equals, and hashes as, the monomial built from its exponent map."""
+    for m in t_algorithm(algebra(name), Monomial.y(node, 0)).monomials():
+        built = Monomial(dict(m.items()))
+        assert m == built and hash(m) == hash(built), m
+
+
+def test_parts_memoized_before_slots_are_added_stay_exact(monkeypatch):
+    """Slots added after the first parts are memoized change the bias, not the
+    unbiased parts, so parts met again after that are memo hits: the result
+    equals the reference loop, in order."""
+    biases = []
+
+    class Recorded(_Packing):
+        def unpack(self, part):
+            biases.append(self.bias)
+            return super().unpack(part)
+
+    monkeypatch.setattr(characters, "_Packing", Recorded)
+    alg = algebra(B2_BENCH)
+    seed = Monomial({(1, 3): 1, (2, 0): 1, (2, 1): 1})
+    got = t_algorithm(alg, seed)
+    occurrences = sum(len({i for (i, _), _ in m.items()}) for m in got.monomials())
+    assert biases[0] < biases[-1] and len(biases) < occurrences
+    assert list(got.items()) == list(_reference_t_algorithm(alg, seed).items())
 
 
 @pytest.mark.parametrize("name,node,values", [("E6", 4, 7), ("G2", 2, 1)])
@@ -373,8 +410,9 @@ def test_exponents_past_64_bit_fields_exceed_the_budget(sl2):
 
 @pytest.mark.parametrize("width", [8, 16])
 def test_packing_round_trips_at_the_field_edges(width):
-    """Encode, add and decode are exact for exponents up to +-(2^(W-1) - 1), and
-    the biased top bits tell each node's dominance."""
+    """Encode and add are exact for exponents up to +-(2^(W-1) - 1): the node
+    parts of x unpack, joined in node order, to the monomial's data; and
+    the biased top bits of a node's slots tell its dominance."""
     top = (1 << (width - 1)) - 1
     code = _Packing([1, 2], top)
     assert code.width == width
@@ -385,11 +423,13 @@ def test_packing_round_trips_at_the_field_edges(width):
     ab, abc = a.times(b), a.times(b).times(c)
     assert {(1, 0): top, (2, 1): -top, (2, 3): top} == dict(ab.items())
     for m, x in [(a, xa), (b, xb), (c, xc), (ab, xa + xb), (abc, xa + xb + xc)]:
-        assert code.decode(x) == m
-        assert code.encode(m) == x
         biased = x + code.bias
-        for k, i in enumerate(code.nodes):
-            assert (biased & code.tops[k] == code.tops[k]) == m.is_dominant([i]), (m, i)
+        unbiased = biased ^ code.bias
+        assert sum((code.unpack(unbiased & mask) for mask in code.masks), ()) == m.data
+        assert code.encode(m) == x
+        for i, mask in zip(code.nodes, code.masks):
+            top = code.bias & mask
+            assert (biased & top == top) == m.is_dominant([i]), (m, i)
 
 
 def test_lift_is_built_once_per_node_part(monkeypatch):

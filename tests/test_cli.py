@@ -330,6 +330,17 @@ def test_every_format_and_t1_combination(capsys, command, fmt, t1):
         # an X factor's errors quote the X token the user typed
         (["product", "X[oops]", "X[1,0]"], 2, "", "parse error: bad factor 'X[oops]'\n"),
         (["product", "X[1,0]^0", "X[1,0]"], 2, "", "parse error: zero exponent in 'X[1,0]^0'\n"),
+        # factors with exponents: multi-digit, negative, at negative levels
+        (["tchar", "--cartan", "A2", "--format", "text", "Y[1,-1]^2"], 0,
+         "(t^-1 + t)  Y[1,-1] Y[1,1]^-1 Y[2,0]\n(t^-1 + t)  Y[1,-1] Y[2,2]^-1\n"
+         "(1)  Y[1,-1]^2\n(1)  Y[1,1]^-2 Y[2,0]^2\n(t^-1 + t)  Y[1,1]^-1 Y[2,0] Y[2,2]^-1\n"
+         "(1)  Y[2,2]^-2\n", ""),
+        (["product", "--format", "text", "X[1,-2]^10", "X[1,-2]^2"], 0, "(1)  X[1,-2]^12\n", ""),
+        (["product", "X[1,-2]^10", "X[1,-2]^2"], 0,
+         '{\n  "terms": [\n    {\n      "coeff": {\n        "0": 1\n      },\n'
+         '      "monomial": "X[1,-2]^12"\n    }\n  ]\n}\n', ""),
+        (["product", "--cartan", "A2", "--format", "text", "X[1,0]^2", "X[2,-1]"], 0,
+         "(t^2)  X[1,0]^2 X[2,-1]\n", ""),
     ],
 )
 def test_pinned_rows(capsys, argv, code, out, err):

@@ -8,6 +8,7 @@ from qtchar.characters import RepElement
 from qtchar.errors import ParseError
 from qtchar.grammar import (
     format_rep_monomial,
+    Namer,
     parse_basis_monomial,
     parse_element,
     parse_element_lines,
@@ -139,6 +140,28 @@ def test_term_list_matches_per_term_serialization(rep):
             assert by_object.setdefault(id(p), term["coeff"]) is term["coeff"]
     x = elements[0]
     assert serialize_element(x) == {"terms": term_list(x)}
+
+
+def _random_monomial(rng):
+    """The unit, or up to five factors: levels of either sign, exponents +-1
+    or of several digits."""
+    return Monomial({(rng.randrange(1, 4), rng.randrange(-15, 16)):
+                     rng.choice([1, -1, 2, -3, 10, -12, 345, -6789])
+                     for _ in range(rng.randrange(0, 6))})
+
+
+def test_namer_writes_the_reference_names():
+    """One Namer per letter names every monomial as str(m), or with X as
+    format_rep_monomial(m), while its factor table grows across the calls."""
+    rng = random.Random(29)
+    monomials = [Monomial.unit()] + [_random_monomial(rng) for _ in range(300)]
+    assert any(e == 1 for m in monomials for _, e in m.items())
+    y, x = Namer(), Namer("X")
+    for m in monomials + monomials:
+        assert y(m) == str(m)
+        assert x(m) == format_rep_monomial(m)
+    element = YtElement({m: ONE for m in monomials})
+    assert [t["monomial"] for t in term_list(element)] == [str(m) for m, _ in element.sorted_terms()]
 
 
 def test_unit_and_empty_exponent_maps():
