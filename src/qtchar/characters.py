@@ -25,7 +25,9 @@ class Budget:
     max_a_depth is an optional cap on the A-depth.  The character of m_plus
     reaches exactly depth_bound(m_plus) = 2<wt(m_plus), rho^v>, so
     t_algorithm fails up front when the cap is below it; None leaves only
-    that bound, which no correct run can pass.
+    that bound, which no correct run can pass.  A run truncated at a
+    top_level need not reach the bound, so there the cap is checked per
+    monomial instead: the first one found deeper than it fails the run.
     """
 
     __slots__ = ("max_monomials", "max_a_depth")
@@ -140,8 +142,10 @@ class _Packing:
         return tuple(sorted(pairs))
 
 
-def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGET) -> YtElement:
-    """Frontier computation of the deformed character with highest monomial m_plus.
+def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGET,
+                top_level: int | None = None) -> YtElement:
+    """Frontier computation of the deformed character with highest monomial m_plus,
+    or, given a top_level, of its terms with no Y above that level.
 
     Each processed monomial m adds s(m) times the terms of f_it(m) other
     than m, at every node i where m has a Y_i factor and is i-dominant.
@@ -173,14 +177,36 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
     parts when it comes and processed in sortkey order, each nonzero s(m)
     going straight into the result, so the terms come in (A-depth, sortkey)
     order.
+
+    Truncation (Hernandez-Leclerc, arXiv:0903.1452; the q,t version in
+    arXiv:1109.0862).  Every monomial of a fundamental character F_t(Y_{i,l})
+    other than Y_{i,l} is right-negative (Frenkel-Mukhin, math/9911112), and
+    the terms with no Y above a level b are built only from ancestors with
+    no Y above b.  So for a fundamental seed the run with top_level b keeps
+    exactly the whole run's terms with every level <= b, with the same
+    coefficients and in the same order.  A kept monomial has no Y above b,
+    so its child has one exactly when the lift's Y-delta does; such lift
+    terms are dropped once, where the memo builds a part's lift.  A
+    truncated run need not reach depth_bound, so neither the up-front check
+    that the bound fits budget.max_monomials nor the one against
+    budget.max_a_depth applies; the fields are still sized from the bound,
+    every edge is still held to it, and the first monomial found deeper than
+    max_a_depth raises BudgetExceeded.
     """
     if not m_plus.is_dominant():
         raise NotDominant(f"seed {m_plus} is not dominant")
-    bound = _depth_bound_in_budget(alg, m_plus, budget)
-    if budget.max_a_depth is not None and budget.max_a_depth < bound:
-        raise BudgetExceeded(
-            f"{m_plus} reaches A-depth {bound}, more than the budget {budget.max_a_depth}"
-        )
+    if top_level is None:
+        bound = limit = _depth_bound_in_budget(alg, m_plus, budget)
+        if budget.max_a_depth is not None and budget.max_a_depth < bound:
+            raise BudgetExceeded(
+                f"{m_plus} reaches A-depth {bound}, more than the budget {budget.max_a_depth}"
+            )
+    else:
+        if any(l > top_level for (_, l), _ in m_plus.items()):
+            raise ValueError(f"seed {m_plus} has a Y above the top level {top_level}")
+        bound = limit = alg.depth_bound(m_plus)
+        if budget.max_a_depth is not None:
+            limit = min(bound, budget.max_a_depth)
     code = _Packing(alg.cartan.nodes(), max((abs(e) for _, e in m_plus.items()), default=0) + bound)
     x_plus = code.encode(m_plus)
     acc = {}  # packed monomial -> {node i: {t-exponent: integer coefficient}}
@@ -235,10 +261,18 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
                 _, _, i, lift = entry
                 if lift is None:
                     lift = entry[3] = [(code.encode(dl), dw, coeff)
-                                       for dl, dw, coeff in lift_it(alg, i, m)]
+                                       for dl, dw, coeff in lift_it(alg, i, m)
+                                       if top_level is None
+                                       or all(l <= top_level for (_, l), _ in dl.data)]
                 for delta, depth_w, coeff in lift:
                     depth = depth_m + depth_w
-                    if depth > bound:  # name the first term past the bound in full
+                    if depth > limit:
+                        if depth <= bound:  # only a truncated run has limit < bound
+                            raise BudgetExceeded(
+                                f"{m_plus} reaches A-depth {depth} at levels up to {top_level}, "
+                                f"more than the budget {limit}"
+                            )
+                        # name the first term past the bound in full
                         mr = next(m.times(dl) for dl, dw, _ in lift_it(alg, i, m)
                                   if depth_m + dw > bound)
                         raise InternalInconsistency(
@@ -261,18 +295,21 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
     return YtElement._adopt(s)  # every s(m) stored is a nonzero TPoly
 
 
-# algebra -> {node i: fundamental character with highest monomial Y_{i,0}};
-# an entry lives as long as its algebra
+# algebra -> {(node i, None or top): the character with highest monomial Y_{i,0},
+# whole or truncated at level top}; an entry lives as long as its algebra
 _FUNDAMENTALS = weakref.WeakKeyDictionary()
 
 
-def fundamental(alg: YtAlgebra, i: int, l: int = 0, budget: Budget = DEFAULT_BUDGET) -> YtElement:
-    """Deformed character of the fundamental with highest monomial Y_{i,l}."""
+def fundamental(alg: YtAlgebra, i: int, l: int = 0, budget: Budget = DEFAULT_BUDGET,
+                top: int | None = None) -> YtElement:
+    """Deformed character of the fundamental with highest monomial Y_{i,l}, or,
+    given a top >= l, its terms with no Y above level top (t_algorithm's
+    top_level), cached once per top - l."""
+    key = (i, None if top is None else top - l)
     cache = _FUNDAMENTALS.setdefault(alg, {})
-    base = cache.get(i)
+    base = cache.get(key)
     if base is None:
-        base = t_algorithm(alg, Monomial.y(i, 0), budget)
-        cache[i] = base
+        base = cache[key] = t_algorithm(alg, Monomial.y(i, 0), budget, key[1])
     return base if l == 0 else base.shift(l)
 
 
@@ -317,7 +354,13 @@ def dominant_product(alg: YtAlgebra, keys, budget: Budget = DEFAULT_BUDGET) -> Y
     """Dominant part of the ordered product of the shifted fundamentals Y_{i,l}, (i, l) in keys.
 
     star_product and _peel take products' dominant parts from here, and
-    _dominant_closure its members.  The factors are multiplied left to
+    _dominant_closure its members.  Each factor is truncated at the top
+    level b of keys (fundamental's top): every factor term but the seed is
+    right-negative, so in a product of such terms the highest level has
+    only nonpositive exponents unless a seed sits there, and a dominant
+    product uses only factor terms with no Y above b.  A truncated factor
+    is not held to the up-front depth checks of the whole one (t_algorithm),
+    only to the budget per monomial.  The factors are multiplied left to
     right, a partial term m1 times a factor term m2 with the twist
     t^N(m1, m2).  The supply at (i, l) is the sum, over the factors still
     to come, of each one's largest positive exponent there; a product m1 m2
@@ -331,14 +374,13 @@ def dominant_product(alg: YtAlgebra, keys, budget: Budget = DEFAULT_BUDGET) -> Y
     term is encoded once, after the pass that finds s, since the width
     must be known first; the supply after each factor is encoded once,
     with the bias added, as S.  Then m1 m2 is x1 + x2, and it is short at
-    some key exactly when x1 + x2 + S lacks a top bit of the bias.  Each factor is indexed by the slots where its
-    terms are positive, so a partial term short at a slot is paired only
-    with the terms that cover the shortfall there.  Only a kept pair forms
-    its twist, and only a new product its monomial; partial terms are keyed
-    by their packed integers, so nothing is unpacked.  Every kept partial
-    product is held to budget.max_monomials.
+    some key exactly when x1 + x2 + S lacks a top bit of the bias.  Only a
+    kept pair forms its twist, and only a new product its monomial; partial
+    terms are keyed by their packed integers, so nothing is unpacked.
+    Every kept partial product is held to budget.max_monomials.
     """
-    factors = [fundamental(alg, i, l, budget) for i, l in keys]
+    top = max((l for _, l in keys), default=0)
+    factors = [fundamental(alg, i, l, budget, top) for i, l in keys]
     highs, reach = [], 0  # per factor {key: largest positive exponent}; twice the sum of max|e|
     for f in factors:
         high, most = {}, 0
@@ -351,34 +393,17 @@ def dominant_product(alg: YtAlgebra, keys, budget: Budget = DEFAULT_BUDGET) -> Y
         highs.append(high)
         reach += 2 * most
     code = _Packing(alg.cartan.nodes(), reach)
-    rows = []  # per factor: its terms (x, m, p), and {slot: [(exponent, term)]} where positive
-    for f in factors:
-        terms, by_slot = [], {}
-        for m, p in f.items():
-            term = (code.encode(m), m, p)
-            terms.append(term)
-            for key, e in m.data:
-                if e > 0:
-                    by_slot.setdefault(code.slot[key], []).append((e, term))
-        rows.append((terms, by_slot))
+    rows = [[(code.encode(m), m, p) for m, p in f.items()] for f in factors]
     w, bias = code.width, code.bias  # read once every slot exists
     supplies = [bias]  # supplies[k]: the bias plus the most that the factors after factor k add
     for high in reversed(highs[1:]):
         supplies.append(supplies[-1] + sum(e << w * code.slot[key] for key, e in high.items()))
     supplies.reverse()
-    half, field = 1 << (w - 1), (1 << w) - 1
     acc = [(0, Monomial.unit(), ONE)]
-    for (terms, by_slot), supply in zip(rows, supplies):
+    for terms, supply in zip(rows, supplies):
         out = {}  # packed m1 m2 -> (m1 m2, coefficient)
         for x1, m1, p1 in acc:
-            candidates = terms
-            z = x1 + supply
-            short = ~z & bias  # the top bits of the slots where m1 is short
-            if short:  # the terms that cover m1's shortfall at its lowest short slot
-                k = (short & -short).bit_length() // w - 1
-                need = half - (z >> w * k & field)
-                candidates = [term for e, term in by_slot.get(k, ()) if e >= need]
-            for x2, m2, p2 in candidates:
+            for x2, m2, p2 in terms:
                 x = x1 + x2
                 if (x + supply) & bias != bias:
                     continue

@@ -307,6 +307,91 @@ def test_depth_budget_is_checked_before_the_loop(monkeypatch):
     assert t_algorithm(b2, m, Budget(max_a_depth=bound)) == t_algorithm(b2, m)
 
 
+def _levels_at_most(m, top):
+    return all(l <= top for (_, l), _ in m.items())
+
+
+@pytest.mark.parametrize(
+    "name,node",
+    [(name, i) for name in KERNEL_TYPES for i in algebra(name).cartan.nodes()]
+    + [("D4", i) for i in range(1, 5)] + [("E6", i) for i in range(1, 7)],
+)
+def test_truncated_fundamental_is_the_whole_one_restricted(name, node):
+    """At every top from 0 to one past the highest level, the run truncated
+    there keeps exactly the whole run's terms with no Y above the top, with
+    the same coefficients and in the same order; from the highest level on
+    it is the whole character."""
+    alg = algebra(name)
+    seed = Monomial.y(node, 0)
+    whole = list(t_algorithm(alg, seed).items())
+    highest = max(l for m, _ in whole for (_, l), _ in m.items())
+    for top in range(highest + 2):
+        got = list(t_algorithm(alg, seed, top_level=top).items())
+        assert got == [(m, p) for m, p in whole if _levels_at_most(m, top)], top
+    assert got == whole and len(t_algorithm(alg, seed, top_level=highest - 1)) < len(whole)
+
+
+def test_fundamental_caches_each_truncation_once_per_relative_top():
+    """fundamental(alg, i, l, top=b) is the truncation at b - l shifted by l:
+    one cache entry (i, b - l) serves every l, next to the whole entry (i, None)."""
+    alg = algebra("B2")
+    whole = fundamental(alg, 2, 3)
+    got = fundamental(alg, 2, 3, top=8)
+    assert list(got.items()) == [(m, p) for m, p in whole.items() if _levels_at_most(m, 8)]
+    assert 0 < len(got) < len(whole)
+    assert fundamental(alg, 2, 10, top=15) == got.shift(7)
+    assert fundamental(alg, 2, 0, top=5) is _FUNDAMENTALS[alg][(2, 5)]
+    assert {key for key in _FUNDAMENTALS[alg] if key[0] == 2} == {(2, None), (2, 5)}
+
+
+def test_truncated_run_skips_the_up_front_depth_checks(monkeypatch):
+    """E6 node 4 truncated at level 4 has 35 terms down to A-depth 8, far short
+    of its depth_bound 42.  A budget of 35 monomials and A-depth 8 fails the
+    whole run before its loop, and the truncated run completes under it."""
+    e6 = algebra("E6")
+    seed = Monomial.y(4, 0)
+    want = t_algorithm(e6, seed, top_level=4)
+    assert len(want) == 35 and max(e6.a_depth(m, seed) for m in want.monomials()) == 8
+    budget = Budget(max_monomials=35, max_a_depth=8)
+
+    def no_lift(alg, i, m):
+        raise AssertionError("the frontier loop ran")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(characters, "lift_it", no_lift)
+        with pytest.raises(BudgetExceeded, match="at least 43 monomials"):
+            t_algorithm(e6, seed, budget)
+        with pytest.raises(BudgetExceeded, match="A-depth 42, more than the budget 8"):
+            t_algorithm(e6, seed, Budget(max_a_depth=8))
+    assert list(t_algorithm(e6, seed, budget, top_level=4).items()) == list(want.items())
+    with pytest.raises(BudgetExceeded, match="more than 34 monomials discovered"):
+        t_algorithm(e6, seed, Budget(max_monomials=34), top_level=4)
+
+
+def test_truncated_run_stops_at_the_first_monomial_past_max_a_depth(monkeypatch):
+    """E6 node 4 truncated at level 5 reaches A-depth 13.  Under max_a_depth 8
+    the run fails when it finds a monomial deeper than 8, and lifts no monomial
+    deeper than 8."""
+    e6 = algebra("E6")
+    seed = Monomial.y(4, 0)
+    lifted = []
+
+    def lift_it(alg, i, m):
+        lifted.append(m)
+        return screening.lift_it(alg, i, m)
+
+    monkeypatch.setattr(characters, "lift_it", lift_it)
+    with pytest.raises(BudgetExceeded, match=r"reaches A-depth (9|1\d) at levels up to 5, "
+                                             r"more than the budget 8"):
+        t_algorithm(e6, seed, Budget(max_a_depth=8), top_level=5)
+    assert lifted and max(e6.a_depth(m, seed) for m in lifted) <= 8
+
+
+def test_truncation_below_the_seed_is_refused(a2):
+    with pytest.raises(ValueError, match="above the top level 1"):
+        t_algorithm(a2, Monomial({(1, 0): 1, (2, 2): 1}), top_level=1)
+
+
 @pytest.mark.parametrize("node", [0, -1, 3])
 def test_node_outside_rank_is_parse_error(a2, node):
     """Node 0 must not read node n's height, nor node 3 run past the list."""
@@ -521,7 +606,7 @@ def test_chi_qt_inverse_leaves_its_argument_unchanged(b2):
 
 @pytest.mark.parametrize("name", ["A3", "B2", "G2", "D4", "E6"])
 def test_dominant_product_is_dominant_part_of_ordered_product(name):
-    """Pruned and indexed, in any factor order, against the full twisted product.
+    """Pruned, on truncated factors, in any factor order, against the full twisted product.
     E6 draws from its 27- and 78-term fundamentals only, to keep the full
     products small."""
     alg = algebra(name)
@@ -550,7 +635,10 @@ def test_dominant_product_at_the_field_width_edge(monkeypatch, sl2, n, width):
     """n copies of the A1 fundamental Y[1,0], each with largest |exponent| 1,
     have the proven reach 2n: 126 still fits 8-bit fields, 128 needs 16-bit
     ones."""
-    fundamental(sl2, 1)  # built before the patch, so only dominant_product packs
+    # built before the patch, whole and at the top level that dominant_product
+    # reads, so only dominant_product packs
+    for top in (None, 0):
+        fundamental(sl2, 1, top=top)
     widths = []
 
     class Recorded(_Packing):
@@ -615,11 +703,14 @@ def test_rep_element_is_not_a_yt_element():
 
 
 def test_products_leave_cached_characters_unchanged():
-    """chi_qt, star_product, lt_and_kl and ft_sl2 only read the cached characters."""
+    """chi_qt, star_product, lt_and_kl and ft_sl2 only read the cached characters.
+    The fundamentals are cached whole and truncated at every top that the
+    products below read (levels 0 to 5), so the cache gains no entry."""
     alg = algebra("B2")
     s2 = sl2_algebra()
     for i in alg.cartan.nodes():
-        fundamental(alg, i)
+        for top in (None, *range(6)):
+            fundamental(alg, i, 0, top=top)
     # rank-1 characters not cached yet whose lower dominant monomials are cached
     tops = [Monomial({(1, 1001): 2, (1, 1003): 1}),
             Monomial({(1, 1001): 1, (1, 1003): 2, (1, 1005): 1})]

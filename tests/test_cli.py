@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -242,11 +243,36 @@ def test_rank_past_max_rank_exit_4(capsys, monkeypatch, spec):
 
 def test_product_running_size_exit_4(capsys):
     """Each kept partial product of star_product is held to --budget-monomials."""
-    code, out, err = run(capsys, "product", "--cartan", "G2", "--budget-monomials", "100",
-                         "X[2,0] X[2,1]", "X[2,2] X[2,3]")
+    code, out, err = run(capsys, "product", "--cartan", "D4", "--budget-monomials", "100",
+                         "X[2,0] X[2,2]", "X[2,4] X[2,6]")
     assert code == 4 and out == ""
     assert len(err.splitlines()) == 1
-    assert "partial product" in err and "reached 121 monomials, more than 100" in err
+    assert "partial product" in err and "reached 110 monomials, more than 100" in err
+
+
+# (type, left, right, the commutative product, the SHA-256 of the JSON result or None)
+TRUNCATED_PRODUCTS = [
+    ("E8", "X[1,2]", "X[1,0]", "X[1,0] X[1,2]", None),
+    # checked once against the whole factors, under --budget-monomials 1000000
+    ("E7", "X[2,2]", "X[2,0]", "X[2,0] X[2,2]",
+     "43700662a68d3df98ac52d7610601f084683dab5bda1b9a75fdac3cf4da25bf2"),
+]
+
+
+@pytest.mark.parametrize("name,left,right,product,digest", TRUNCATED_PRODUCTS)
+def test_products_of_large_fundamentals_under_the_default_budget(
+        capsys, name, left, right, product, digest):
+    """The factors are truncated at level 2, and the peeled lower term X[3,1]
+    (E8) or X[4,1] (E7) at level 1; its whole fundamental is past the default
+    budget.  At t = 1 the result is the commutative product, since chi_q is a
+    ring map."""
+    code, out, err = run(capsys, "product", "--cartan", name, left, right)
+    assert code == 0 and err == ""
+    if digest is not None:
+        assert len(out.encode()) == 208 and hashlib.sha256(out.encode()).hexdigest() == digest
+    code, out, err = run(capsys, "product", "--cartan", name, "--t1", left, right)
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"terms": [{"coeff": 1, "monomial": product}]}
 
 
 def test_e_t_running_size_exit_4(capsys):
