@@ -90,11 +90,8 @@ class _Packing:
     x + bias has each field nonnegative and its top bit set exactly when the
     exponent is >= 0, and (x + bias) ^ bias holds each exponent in W-bit
     two's complement.  Per node, masks holds 2^W - 1 in each of the node's
-    slots, and (x + bias) ^ bias & masks[i] is x's node-i part.
-
-    Two callers: t_algorithm packs its frontier and unpacks each node part
-    it has not seen before; dominant_product packs its factor terms and its
-    supplies and never unpacks."""
+    slots, and (x + bias) ^ bias & masks[i] is x's node-i part.  t_algorithm
+    packs its frontier and unpacks each node part it has not seen before."""
 
     def __init__(self, nodes, reach: int):
         """Fields of the narrowest width in _WIDTHS that holds every exponent of
@@ -365,57 +362,42 @@ def dominant_product(alg: YtAlgebra, keys, budget: Budget = DEFAULT_BUDGET) -> Y
     t^N(m1, m2).  The supply at (i, l) is the sum, over the factors still
     to come, of each one's largest positive exponent there; a product m1 m2
     whose exponent at some (i, l) is below minus the supply can reach no
-    dominant monomial and is dropped.
-
-    The prune runs on _Packing's integers.  A partial product's exponent
-    at any key has absolute value at most the sum s, over the factors, of
-    each one's largest |exponent|, and adding the supply at most doubles
-    that, so the fields are wide enough for the reach 2s.  Each factor
-    term is encoded once, after the pass that finds s, since the width
-    must be known first; the supply after each factor is encoded once,
-    with the bias added, as S.  Then m1 m2 is x1 + x2, and it is short at
-    some key exactly when x1 + x2 + S lacks a top bit of the bias.  Only a
-    kept pair forms its twist, and only a new product its monomial; partial
-    terms are keyed by their packed integers, so nothing is unpacked.
-    Every kept partial product is held to budget.max_monomials.
+    dominant monomial and is dropped before its twist is formed.  Every
+    kept partial product is held to budget.max_monomials.
     """
     top = max((l for _, l in keys), default=0)
     factors = [fundamental(alg, i, l, budget, top) for i, l in keys]
-    highs, reach = [], 0  # per factor {key: largest positive exponent}; twice the sum of max|e|
-    for f in factors:
-        high, most = {}, 0
+    supplies = [{}]  # supplies[k]: the most that the factors after factor k add per key
+    for f in reversed(factors[1:]):
+        supply = dict(supplies[-1])
+        high = {}
         for m in f.monomials():
             for key, e in m.data:
                 if e > high.get(key, 0):
                     high[key] = e
-                if abs(e) > most:
-                    most = abs(e)
-        highs.append(high)
-        reach += 2 * most
-    code = _Packing(alg.cartan.nodes(), reach)
-    rows = [[(code.encode(m), m, p) for m, p in f.items()] for f in factors]
-    w, bias = code.width, code.bias  # read once every slot exists
-    supplies = [bias]  # supplies[k]: the bias plus the most that the factors after factor k add
-    for high in reversed(highs[1:]):
-        supplies.append(supplies[-1] + sum(e << w * code.slot[key] for key, e in high.items()))
+        for key, e in high.items():
+            supply[key] = supply.get(key, 0) + e
+        supplies.append(supply)
     supplies.reverse()
-    acc = [(0, Monomial.unit(), ONE)]
-    for terms, supply in zip(rows, supplies):
-        out = {}  # packed m1 m2 -> (m1 m2, coefficient)
-        for x1, m1, p1 in acc:
-            for x2, m2, p2 in terms:
-                x = x1 + x2
-                if (x + supply) & bias != bias:
-                    continue
-                q = p1 * p2 * TPoly.t_power(alg.bichar_n(m1, m2))
-                hit = out.get(x)
-                out[x] = (m1.times(m2), q) if hit is None else (hit[0], hit[1] + q)
-        acc = [(x, m, p) for x, (m, p) in out.items() if p]
+    acc = {Monomial.unit(): ONE}
+    for f, supply in zip(factors, supplies):
+        out = {}
+        for m1, p1 in acc.items():
+            for m2, p2 in f.items():
+                m = m1.times(m2)
+                for key, e in m.data:
+                    if e < 0 and e + supply.get(key, 0) < 0:
+                        break
+                else:  # no exponent of m1 m2 is below minus the supply
+                    q = p1 * p2 * TPoly.t_power(alg.bichar_n(m1, m2))
+                    hit = out.get(m)
+                    out[m] = q if hit is None else hit + q
+        acc = {m: p for m, p in out.items() if p}
         if len(acc) > budget.max_monomials:
             raise BudgetExceeded(
                 f"partial product reached {len(acc)} monomials, more than {budget.max_monomials}"
             )
-    return YtElement({m: p for _, m, p in acc})
+    return YtElement._adopt(acc)
 
 
 # ---------------------------------------------------------------------------

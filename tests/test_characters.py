@@ -621,8 +621,8 @@ def test_dominant_product_is_dominant_part_of_ordered_product(name):
 
 def test_dominant_product_keeps_a_term_that_needs_the_whole_supply(sl2):
     """In Y[1,0] * Y[1,2], the term Y[1,2]^-1 of the first factor meets the
-    supply 1 at (1, 2) exactly, and only the pair with Y[1,2] reaches the unit;
-    the other two products have a negative exponent left."""
+    supply 1 at (1, 2) exactly, and its pair with Y[1,2] reaches the unit.
+    Truncated at level 2, the second factor is Y[1,2] alone."""
     keys = [(1, 0), (1, 2)]
     full = sl2.mul(*(fundamental(sl2, i, l) for i, l in keys))
     got = dominant_product(sl2, keys)
@@ -630,27 +630,12 @@ def test_dominant_product_keeps_a_term_that_needs_the_whole_supply(sl2):
     assert sorted(map(str, got.monomials())) == ["1", "Y[1,0] Y[1,2]"]
 
 
-@pytest.mark.parametrize("n,width", [(63, 8), (64, 16)])
-def test_dominant_product_at_the_field_width_edge(monkeypatch, sl2, n, width):
-    """n copies of the A1 fundamental Y[1,0], each with largest |exponent| 1,
-    have the proven reach 2n: 126 still fits 8-bit fields, 128 needs 16-bit
-    ones."""
-    # built before the patch, whole and at the top level that dominant_product
-    # reads, so only dominant_product packs
-    for top in (None, 0):
-        fundamental(sl2, 1, top=top)
-    widths = []
-
-    class Recorded(_Packing):
-        def __init__(self, nodes, reach):
-            super().__init__(nodes, reach)
-            widths.append(self.width)
-
-    monkeypatch.setattr(characters, "_Packing", Recorded)
-    keys = [(1, 0)] * n
+def test_dominant_product_of_many_copies(sl2):
+    """64 copies of the A1 fundamental Y[1,0], each truncated at level 0 to
+    its seed: one term Y[1,0]^64, with the twist of its 2016 pairs."""
+    keys = [(1, 0)] * 64
     full = sl2.mul(*(fundamental(sl2, i, l) for i, l in keys))
     assert dominant_product(sl2, keys) == YtElement(full.dominant_part())
-    assert widths == [width]
 
 
 def test_chi_qt_inverse_rejects_an_element_outside_the_image(b2):
