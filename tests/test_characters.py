@@ -630,12 +630,29 @@ def test_dominant_product_keeps_a_term_that_needs_the_whole_supply(sl2):
     assert sorted(map(str, got.monomials())) == ["1", "Y[1,0] Y[1,2]"]
 
 
-def test_dominant_product_of_many_copies(sl2):
-    """64 copies of the A1 fundamental Y[1,0], each truncated at level 0 to
-    its seed: one term Y[1,0]^64, with the twist of its 2016 pairs."""
-    keys = [(1, 0)] * 64
+@pytest.mark.parametrize("n,width", [(63, 8), (64, 16)])
+def test_dominant_product_at_the_field_width_edge(monkeypatch, sl2, n, width):
+    """n copies of the A1 fundamental Y[1,0], each truncated at level 0 to its
+    seed: one term Y[1,0]^n with the twist of its pairs. The reach 2n sits on
+    either side of the 8-bit field edge (126 fits, 128 needs 16 bits);
+    dominant_product prunes on monomials and packs nothing at either."""
+    assert _Packing(sl2.cartan.nodes(), 2 * n).width == width
+    # built before the patch, whole and at the top level that dominant_product
+    # reads, so any packing recorded would be dominant_product's own
+    for top in (None, 0):
+        fundamental(sl2, 1, top=top)
+    widths = []
+
+    class Recorded(_Packing):
+        def __init__(self, nodes, reach):
+            super().__init__(nodes, reach)
+            widths.append(self.width)
+
+    monkeypatch.setattr(characters, "_Packing", Recorded)
+    keys = [(1, 0)] * n
     full = sl2.mul(*(fundamental(sl2, i, l) for i, l in keys))
     assert dominant_product(sl2, keys) == YtElement(full.dominant_part())
+    assert widths == []
 
 
 def test_chi_qt_inverse_rejects_an_element_outside_the_image(b2):
