@@ -4,7 +4,6 @@ and the bar-invariant canonical basis with its KL-analogue polynomials."""
 from __future__ import annotations
 
 import weakref
-from operator import itemgetter
 
 from .algebra import Monomial, Terms, YtAlgebra, YtElement
 from .errors import (
@@ -170,10 +169,14 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
     loudly, and so does an A-depth past the bound of depth_bound.  Equal
     s(m) share one TPoly per call, looked up by the map's items and built
     only on a miss.  A max_a_depth below that bound fails before the loop,
-    since the result reaches the bound.  Each depth is joined from its
-    parts when it comes and processed in sortkey order, each nonzero s(m)
-    going straight into the result, so the terms come in (A-depth, sortkey)
-    order.
+    since the result reaches the bound.  When a depth comes, each of its
+    monomials is joined from its parts and processed at once, each nonzero
+    s(m) going straight into the result.  So the terms come in A-depth
+    order, and within a depth in the order they were found, which is
+    deterministic: every container here is insertion-ordered or keyed by
+    integers.  The bias and masks read when a depth comes serve all of its
+    monomials, since each was packed before any slot that the depth's lifts
+    add.
 
     Truncation (Hernandez-Leclerc, arXiv:0903.1452; the q,t version in
     arXiv:1109.0862).  Every monomial of a fundamental character F_t(Y_{i,l})
@@ -209,12 +212,11 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
     acc = {}  # packed monomial -> {node i: {t-exponent: integer coefficient}}
     parts = {}  # node-i part -> [its (key, exponent) pairs, i-dominant?, i, lift or None]
     buckets = {0: [x_plus]}  # A-depth -> the packed monomials discovered there
-    s = {}  # m -> nonzero s(m), in (A-depth, sortkey) order
+    s = {}  # m -> nonzero s(m), in A-depth order, each depth in the order found
     shared = {frozenset(ONE.coeffs.items()): ONE}  # coefficient items -> the one TPoly of s(m)
     found = 1
     while buckets:
         depth_m = min(buckets)
-        level = []  # (m.data, packed m, nodes where m is negative, m's i-dominant part entries)
         bias, node_masks = code.bias, tuple(zip(code.nodes, code.masks))
         for x in buckets.pop(depth_m):
             ux = (x + bias) ^ bias
@@ -230,10 +232,7 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
                         lifted.append(entry)
                     else:
                         neg.append(i)
-            level.append((tuple(data), x, neg, lifted))
-        level.sort(key=itemgetter(0))
-        for data, x, neg, lifted in level:
-            m = Monomial.from_sorted(data)
+            m = Monomial.from_sorted(tuple(data))
             si = acc.pop(x, {})
             if x == x_plus:
                 sm = ONE
@@ -538,10 +537,10 @@ def lt_and_kl(alg: YtAlgebra, m: Monomial, budget: Budget = DEFAULT_BUDGET):
     depth = {mu: alg.a_depth(mu, m) for mu in doms}
     if any(d is None for d in depth.values()):
         raise InternalInconsistency("dominant closure left the cone below m")
-    order = sorted(doms, key=lambda mu: (-depth[mu], mu.sortkey()))  # deepest first
+    # deepest first, so m, the one member at A-depth 0, comes last
+    order = sorted(doms, key=lambda mu: (-depth[mu], mu.sortkey()))
     nn = {mu: alg.bichar_n(mu, mu) for mu in doms}
     lhat = {}
-    kl_for = {}
     for mu in order:
         residual = e_t_normalized(alg, mu, budget)
         fhat = t_algorithm(alg, mu, budget)
@@ -569,9 +568,8 @@ def lt_and_kl(alg: YtAlgebra, m: Monomial, budget: Budget = DEFAULT_BUDGET):
             raise InternalInconsistency(f"E_t({mu}) did not close over the canonical basis")
         del residual  # so that it is gone before the next member's E_t is formed
         lhat[mu] = lsum
-        kl_for[mu] = rows
     lt = {mu: lhat[mu].scale(TPoly.t_power((nn[mu] - nn[m]) // 2)) for mu in order}
-    return kl_for[m], lt
+    return rows, lt  # the rows of the last member, m
 
 
 # ---------------------------------------------------------------------------

@@ -174,7 +174,7 @@ def test_result_monomials_are_in_normal_form(name, node):
 def test_parts_memoized_before_slots_are_added_stay_exact(monkeypatch):
     """Slots added after the first parts are memoized change the bias, not the
     unbiased parts, so parts met again after that are memo hits: the result
-    equals the reference loop, in order."""
+    equals the reference loop, in A-depth order."""
     biases = []
 
     class Recorded(_Packing):
@@ -188,7 +188,7 @@ def test_parts_memoized_before_slots_are_added_stay_exact(monkeypatch):
     got = t_algorithm(alg, seed)
     occurrences = sum(len({i for (i, _), _ in m.items()}) for m in got.monomials())
     assert biases[0] < biases[-1] and len(biases) < occurrences
-    assert list(got.items()) == list(_reference_t_algorithm(alg, seed).items())
+    _assert_matches_reference(alg, got, seed)
 
 
 @pytest.mark.parametrize("name,node,values", [("E6", 4, 7), ("G2", 2, 1)])
@@ -435,16 +435,49 @@ def _reference_t_algorithm(alg, m_plus):
     return YtElement(s)
 
 
+def _depth_never_increases(alg, x):
+    """Whether depth_bound, which each A_{i,l}^-1 lowers by 2, never increases
+    along the terms of x: the A-depth order of t_algorithm's result."""
+    bounds = [alg.depth_bound(m) for m in x.monomials()]
+    return all(a >= b for a, b in zip(bounds, bounds[1:]))
+
+
+def _assert_matches_reference(alg, got, seed):
+    """got equals the reference loop term for term and is in A-depth order;
+    within a depth the two loops may order their terms differently."""
+    assert got == _reference_t_algorithm(alg, seed)
+    assert _depth_never_increases(alg, got)
+
+
 @pytest.mark.parametrize(
     "name,node",
     [(name, i) for name in KERNEL_TYPES for i in algebra(name).cartan.nodes()] + [("E6", 4)],
 )
 def test_t_algorithm_matches_reference_loop(name, node):
-    """Term for term, in the same order, as the loop over f_it and a_depth."""
+    """Term for term, in A-depth order, as the loop over f_it and a_depth."""
     alg = algebra(name)
     seed = Monomial.y(node, 0)
-    got = list(t_algorithm(alg, seed).items())
-    assert got == list(_reference_t_algorithm(alg, seed).items())
+    _assert_matches_reference(alg, t_algorithm(alg, seed), seed)
+
+
+@pytest.mark.parametrize(
+    "name,seed",
+    [(name, Monomial.y(i, 0))
+     for name in [*KERNEL_TYPES, "E6"] for i in algebra(name).cartan.nodes()]
+    + [("B2", parse_basis_monomial("Y[2,0] Y[1,5] Y[2,4]"))],
+    ids=str,
+)
+def test_t_algorithm_terms_come_in_a_depth_order(name, seed):
+    """Along the result, whole and truncated one level below its highest,
+    depth_bound never increases; the same terms in reversed order fail the
+    check wherever they span more than one depth."""
+    alg = algebra(name)
+    whole = t_algorithm(alg, seed)
+    highest = max(l for m in whole.monomials() for (_, l), _ in m.items())
+    for got in (whole, t_algorithm(alg, seed, top_level=highest - 1)):
+        assert _depth_never_increases(alg, got)
+        if len({alg.depth_bound(m) for m in got.monomials()}) > 1:
+            assert not _depth_never_increases(alg, YtElement(dict(reversed(got.items()))))
 
 
 B2_BENCH = [[2, -2], [-1, 2]]  # r = [1, 2]
@@ -462,8 +495,7 @@ def test_t_algorithm_matches_reference_loop_across_residue_classes(matrix, seed)
     """Lifts whose node-i exponents span more than one residue class mod r_i."""
     alg = algebra(matrix)
     seed = Monomial(seed)
-    got = list(t_algorithm(alg, seed).items())
-    assert got == list(_reference_t_algorithm(alg, seed).items())
+    _assert_matches_reference(alg, t_algorithm(alg, seed), seed)
 
 
 @pytest.mark.parametrize("cartan", [*KERNEL_TYPES, B2_BENCH, F4_BENCH], ids=str)
@@ -483,8 +515,7 @@ def test_t_algorithm_matches_reference_loop_at_the_field_width_edge(sl2, u, widt
     seed = Monomial.y(1, 0, u)
     assert u + sl2.depth_bound(seed) == 2 * u
     assert _Packing(sl2.cartan.nodes(), 2 * u).width == width
-    got = list(t_algorithm(sl2, seed).items())
-    assert got == list(_reference_t_algorithm(sl2, seed).items())
+    _assert_matches_reference(sl2, t_algorithm(sl2, seed), seed)
 
 
 def test_exponents_past_64_bit_fields_exceed_the_budget(sl2):
@@ -628,6 +659,17 @@ def test_dominant_product_keeps_a_term_that_needs_the_whole_supply(sl2):
     got = dominant_product(sl2, keys)
     assert got == YtElement(full.dominant_part())
     assert sorted(map(str, got.monomials())) == ["1", "Y[1,0] Y[1,2]"]
+
+
+def test_dominant_product_drops_non_dominant_products_at_the_last_step(sl2):
+    """In Y[1,0] * Y[1,2] * Y[1,0], the last factor, truncated at level 2, is
+    Y[1,0] + Y[1,2]^-1, and no supply is left for it: the last step drops
+    every product with a negative exponent, Y[1,2]^-1 among them."""
+    keys = [(1, 0), (1, 2), (1, 0)]
+    full = sl2.mul(*(fundamental(sl2, i, l) for i, l in keys))
+    got = dominant_product(sl2, keys)
+    assert got == YtElement(full.dominant_part())
+    assert sorted(map(str, got.monomials())) == ["Y[1,0]", "Y[1,0]^2 Y[1,2]"]
 
 
 @pytest.mark.parametrize("n,width", [(63, 8), (64, 16)])
