@@ -208,7 +208,10 @@ class Terms:
         return self._adopt({m: -p for m, p in self.terms.items()})
 
     def scale(self, c):
+        """c * self; by ONE, a new map that shares self's coefficients, which are immutable."""
         c = TPoly.coerce(c)
+        if c == ONE:
+            return self._adopt(dict(self.terms))
         return self._adopt({m: p * c for m, p in self.terms.items()} if c else {})
 
     def __eq__(self, other):
@@ -336,7 +339,9 @@ class YtAlgebra:
         psi = +w at (i, l + r_i) and -w at (i, l - r_i): one bichar_n per
         left term and group, then a few lookups per pair.  A term in a group
         of its own therefore costs one bichar_n per pair, as before.
-        Coefficients are summed as integer maps that become the result TPolys.
+        m1 m2 is built from a copy of m1's exponent dict, which the psi
+        lookups read too.  Coefficients are summed as integer maps that
+        become the result TPolys, and a map that cancels to zero is dropped.
         """
         if not elements:
             return YtElement.unit()
@@ -352,7 +357,14 @@ class YtAlgebra:
                     n = base[g]
                     for k, c in psi:
                         n += c * u1.get(k, 0)
-                    key = m1.times(m2)
+                    u = u1.copy()
+                    for k, e in m2.data:
+                        v = u.get(k, 0) + e
+                        if v:
+                            u[k] = v
+                        else:
+                            del u[k]  # v = 0 with e != 0 means k was a key of m1
+                    key = Monomial.from_sorted(tuple(sorted(u.items())))
                     d = out.get(key)
                     if d is None:
                         d = out[key] = {}
@@ -360,7 +372,7 @@ class YtAlgebra:
                         s = e2 + n
                         for e1, a in c1:
                             d[e1 + s] = d.get(e1 + s, 0) + a * b
-            acc = YtElement({m: TPoly.adopt(d) for m, d in out.items()})
+            acc = YtElement._adopt({m: p for m, d in out.items() if (p := TPoly.adopt(d))})
         return acc
 
     def _twist_groups(self, x: YtElement):

@@ -6,10 +6,13 @@ node-i kernel, f_it being the unique kernel element whose only i-dominant
 monomial is m.
 ft_sl2 holds the rank-1 f_it in A-string form, built from the segment
 strings with the local twist and no twisted product; lift_it lifts it to
-node i with the same local twist.
+node i with the same local twist, once per algebra and level-shift class of
+the node-i exponents.
 """
 
 from __future__ import annotations
+
+import weakref
 
 from .algebra import Monomial, YtAlgebra, YtElement
 from .errors import InternalInconsistency, NotIDominant
@@ -127,7 +130,8 @@ def _plus(w: tuple, v: tuple) -> tuple:
 # dominant rank-1 monomial -> its deformed character in A-string form: one
 # (v, lam) per term lam * m A^-v, v a tuple of (level, exponent).  Every
 # rank-1 algebra has the Cartan matrix [[2]], so one table serves them all,
-# and every node and residue class whose shadow is m shares the entry.
+# and every node and residue class whose shadow is m shares the entry;
+# _build_lift keys it by shadows moved down to level 0.
 _FT_SL2 = {}
 
 
@@ -191,30 +195,36 @@ def ft_sl2(alg: YtAlgebra, m: Monomial) -> list:
     return strings
 
 
-def lift_it(alg: YtAlgebra, i: int, m: Monomial) -> list:
+def _build_lift(alg: YtAlgebra, i: int, m: Monomial, caller: Monomial) -> list:
     """The terms of f_it(m) other than m: (Y-delta, sum W, coefficient items) per m A^-W.
 
     m must be i-dominant.  The lift is the product over the residue shadows
     mk of m (its node-i exponents on the levels k mod r_i) of the rank-1
     characters ft_sl2(mk), each term lam * mk A^-v relabelled back to node i
-    as A^-W, W = {(i, k + level * r_i): exponent} over v.  The twist is
-    local in the A variables: C(z) C~(z) = I gives N(Y_{j,k}, A_{i,l}^-1) =
-    +1 at (j, k) = (i, l + r_i), -1 at (i, l - r_i) and 0 otherwise.  Hence
-    N(A_{i,k}^-1, A_{i,l}^-1) is nonzero only at |k - l| = 2 r_i, so the
-    factors of different classes multiply untwisted, and the twist
-    N(m, A^-W) = sum_l W_l (u_i(l + r_i) - u_i(l - r_i)) of each term equals
-    the rank-1 N(mk, A^-v) and cancels.  Each term m A^-W therefore has
-    coefficient prod lam, with no twisted product or bicharacter lookup.
-    The term W = {} is m itself; its coefficient must be 1, and it is left
-    out.  The rest are returned as the Y-exponents of A^-W (so the term is
-    m times them), the A-depth sum W, and the coefficient's (t-exponent,
-    integer) items.  The result depends only on the node-i exponents of m.
+    as A^-W, W = {(i, k + level * r_i): exponent} over v.  Each shadow is
+    looked up moved down to its lowest level lo, and its strings are
+    relabelled from base = k + lo * r_i, so the table is keyed at level 0.
+    The twist is local in the A variables: C(z) C~(z) = I gives
+    N(Y_{j,k}, A_{i,l}^-1) = +1 at (j, k) = (i, l + r_i), -1 at (i, l - r_i)
+    and 0 otherwise.  Hence N(A_{i,k}^-1, A_{i,l}^-1) is nonzero only at
+    |k - l| = 2 r_i, so the factors of different classes multiply
+    untwisted, and the twist N(m, A^-W) = sum_l W_l (u_i(l + r_i) -
+    u_i(l - r_i)) of each term equals the rank-1 N(mk, A^-v) and cancels.
+    Each term m A^-W therefore has coefficient prod lam, with no twisted
+    product or bicharacter lookup.  The term W = {} is m itself; its
+    coefficient must be 1, else InternalInconsistency names caller, and it
+    is left out.  The rest are returned as the Y-exponents of A^-W (so the
+    term is m times them), the A-depth sum W, and the coefficient's
+    (t-exponent, integer) items.
     """
     ri = alg.cartan.ri(i)
     s2 = sl2_algebra()
     terms = [({}, ONE)]
     for k, mk in _residue_shadows(alg, i, m).items():
-        strings = [({(i, k + lv * ri): e for lv, e in v}, lam) for v, lam in ft_sl2(s2, mk)]
+        lo = mk.data[0][0][1]
+        base = k + lo * ri
+        strings = [({(i, base + lv * ri): e for lv, e in v}, lam)
+                   for v, lam in ft_sl2(s2, mk.shift(-lo))]
         terms = [({**w, **wk}, p * lam) for w, p in terms for wk, lam in strings]
     lift, lead = [], ZERO
     for w, p in terms:
@@ -223,8 +233,39 @@ def lift_it(alg: YtAlgebra, i: int, m: Monomial) -> list:
         else:
             lead = p
     if lead != ONE:
-        raise InternalInconsistency(f"lift of {m} at node {i} has leading coefficient {lead}")
+        raise InternalInconsistency(f"lift of {caller} at node {i} has leading coefficient {lead}")
     return lift
+
+
+# algebra -> ({(i, node-i (level, exponent) pairs less their lowest level):
+# (Y-delta data, sum W, coefficient items) per lift term}, {value: itself},
+# which stores each (key, exponent) pair and coefficient tuple once); an
+# entry lives as long as its algebra
+_LIFTS = weakref.WeakKeyDictionary()
+
+
+def lift_it(alg: YtAlgebra, i: int, m: Monomial) -> list:
+    """The terms of f_it(m) other than m, as _build_lift returns them.
+
+    The algebra is unchanged by a uniform level shift Y_{j,l} -> Y_{j,l+s}:
+    N(Y_{i,l}, Y_{j,k}) depends only on l - k, and A_{i,l} moves with the
+    shift.  So the lift depends only on the node-i exponents of m up to
+    such a shift.  It is built once per algebra and shift class, on the
+    node-i part moved down to level 0, and every lift_it shifts the stored
+    terms back up by the part's lowest level.
+    """
+    pairs = [(l, u) for (j, l), u in m.data if j == i]
+    lo = pairs[0][0] if pairs else 0
+    key = (i, tuple([(l - lo, u) for l, u in pairs]))
+    table, shared = _LIFTS.get(alg) or _LIFTS.setdefault(alg, ({}, {}))
+    lift = table.get(key)
+    if lift is None:
+        part = Monomial.from_sorted(tuple([((i, l), u) for l, u in key[1]]))
+        lift = table[key] = [
+            (tuple([shared.setdefault(kv, kv) for kv in dl.data]), dw, shared.setdefault(c, c))
+            for dl, dw, c in _build_lift(alg, i, part, m)]
+    return [(Monomial.from_sorted(tuple([((j, l + lo), e) for (j, l), e in data])), dw, c)
+            for data, dw, c in lift]
 
 
 def f_it(alg: YtAlgebra, i: int, m: Monomial) -> YtElement:

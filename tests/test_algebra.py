@@ -230,6 +230,34 @@ def test_mul_matches_double_loop(name):
         assert alg.mul(y, x) == _mul_by_double_loop(alg, y, x)
 
 
+def test_mul_results_are_normal_form_and_drop_cancelled_terms(sl2):
+    """Each product monomial has sorted, zero-free data and the hash of the
+    constructor's; a pair sum that cancels leaves no term, not a zero TPoly."""
+    y0, y2 = Monomial.y(1, 0), Monomial.y(1, 2)
+    gap = sl2.bichar_n(y0, y2) - sl2.bichar_n(y2, y0)
+    assert gap  # Y[1,0] Y[1,2] and Y[1,2] Y[1,0] differ by a t-power
+    x = YtElement({y0: ONE, y2: ONE, Monomial.y(1, 5, -1): TPoly({1: 2})})
+    y = YtElement({y2: ONE, y0: TPoly.t_power(gap, -1), Monomial.y(1, 5): ONE})
+    got = sl2.mul(x, y)
+    assert got == _mul_by_double_loop(sl2, x, y)
+    assert y0.times(y2) not in got.terms
+    assert Monomial.unit() in got.terms  # Y[1,5]^-1 Y[1,5] cancels to the unit
+    for m, p in got.items():
+        normal = Monomial(dict(m.items()))
+        assert p and m.data == normal.data and hash(m) == hash(normal)
+
+
+def test_scale_by_one_copies_the_map_and_shares_the_coefficients(b2):
+    x = random_element(b2, random.Random(4))
+    for one in (ONE, TPoly.t_power(0), 1):
+        y = x.scale(one)
+        assert y == x and y.terms is not x.terms
+        assert all(y.terms[m] is p for m, p in x.items())
+    snap = _snapshot(x)
+    y.add_scaled(random_element(b2, random.Random(5)))
+    assert _unchanged(x, snap)
+
+
 def test_twist_groups_try_one_reference_per_term(b2, monkeypatch):
     """Unrelated terms cost one factor_over_A each, not one per reference."""
     rng = random.Random(8)

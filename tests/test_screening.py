@@ -1,11 +1,15 @@
+import gc
 import random
+import weakref
 from itertools import combinations_with_replacement
 
 import pytest
 
-from qtchar import algebra, screening
+from qtchar import algebra, characters, screening
 from qtchar.algebra import Monomial, YtAlgebra, YtElement
+from qtchar.characters import lt_and_kl, t_algorithm
 from qtchar.errors import NotIDominant
+from qtchar.grammar import parse_basis_monomial
 from qtchar.screening import (
     e_it,
     f_it,
@@ -307,3 +311,106 @@ def test_ft_sl2_builds_without_twisted_product(monkeypatch):
     with pytest.raises(NotIDominant):
         ft_sl2(s2, Monomial({(1, 0): 1, (1, 2): -1}))
     assert Monomial({(1, 0): 1, (1, 2): -1}) not in screening._FT_SL2
+
+
+# ---------------------------------------------------------------------------
+# the per-algebra lift table, keyed by level-shift class
+# ---------------------------------------------------------------------------
+
+B2_BENCH = [[2, -2], [-1, 2]]
+KL_SEEDS = [(B2_BENCH, "Y[2,0] Y[1,5] Y[2,4]"), (B2_BENCH, "Y[2,0] Y[1,5] Y[2,4] Y[1,1] Y[2,8]"),
+            ("A3", "Y[1,1] Y[2,0] Y[2,2] Y[2,4] Y[3,3]"),
+            ("A2", "Y[1,0] Y[1,2] Y[1,4] Y[2,1] Y[2,3] Y[2,5]")]
+
+
+def _recorded_lifts(monkeypatch, run):
+    """The (i, m) of every lift_it call that the frontier loop makes during run()."""
+    calls = []
+
+    def lift_it(alg, i, m):
+        calls.append((i, m))
+        return screening.lift_it(alg, i, m)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(characters, "lift_it", lift_it)
+        run()
+    return calls
+
+
+def _assert_lifts_match_the_build(alg, calls):
+    """lift_it equals the uncached build on m, and on m shifted by 1, 2 and 3."""
+    assert calls
+    for i, m in calls:
+        for s in range(4):
+            ms = m.shift(s)
+            assert screening.lift_it(alg, i, ms) == screening._build_lift(alg, i, ms, ms), (i, m, s)
+
+
+@pytest.mark.parametrize("name", KERNEL_TYPES + ["F4", "E6"])
+def test_lift_table_matches_the_uncached_build_on_fundamentals(name, monkeypatch):
+    alg = algebra(name)
+    for i in alg.cartan.nodes():
+        calls = _recorded_lifts(monkeypatch, lambda: t_algorithm(alg, Monomial.y(i, 0)))
+        _assert_lifts_match_the_build(alg, calls)
+
+
+@pytest.mark.parametrize("cartan,seed", KL_SEEDS)
+def test_lift_table_matches_the_uncached_build_on_kl_seeds(cartan, seed, monkeypatch):
+    alg = algebra(cartan)
+    calls = _recorded_lifts(monkeypatch, lambda: lt_and_kl(alg, parse_basis_monomial(seed)))
+    assert any(e > 1 for _, m in calls for _, e in m.items())  # parts with exponents past 1
+    _assert_lifts_match_the_build(alg, calls)
+
+
+@pytest.mark.parametrize("cartan,seed", [(B2_BENCH, "Y[2,0] Y[1,5] Y[2,4]"), ("G2", "Y[2,0]"),
+                                         ("E6", "Y[4,0]")])
+def test_rerun_and_shifted_seed_build_no_lift(cartan, seed, monkeypatch):
+    """Every lift of a run on the seed shifted by 1 (which moves the residue
+    classes of r_i = 2 and 3) is in the table that the first run filled."""
+    alg = algebra(cartan)
+    m = parse_basis_monomial(seed)
+    builds = []
+    real = screening._build_lift
+    monkeypatch.setattr(screening, "_build_lift",
+                        lambda *args: builds.append(args[1:3]) or real(*args))
+    want = t_algorithm(alg, m)
+    assert builds
+    del builds[:]
+    assert t_algorithm(alg, m) == want
+    assert list(t_algorithm(alg, m.shift(1)).items()) == list(want.shift(1).items())
+    assert builds == []
+
+
+def test_lift_table_does_not_keep_the_algebra_alive():
+    alg = algebra("B2")
+    t_algorithm(alg, Monomial.y(2, 0))
+    assert screening._LIFTS[alg][0]
+    ref = weakref.ref(alg)
+    size = len(screening._LIFTS)
+    del alg
+    gc.collect()
+    assert ref() is None and len(screening._LIFTS) < size
+
+
+@pytest.mark.parametrize("cartan,seed", KL_SEEDS[:2] + [
+    ("A1", "Y[1,5]^2 Y[1,7]"), ("A1", "Y[1,3] Y[1,5]^2 Y[1,7]^2 Y[1,9]"), ("G2", "Y[2,1]"),
+    ("F4", "Y[3,5]"), ("C3", "Y[1,-4] Y[3,3]")])
+def test_t_algorithm_adds_rank_1_entries_at_level_0(cartan, seed, monkeypatch):
+    """Every shadow, and every lower entry that an irregular one recurses
+    into, is looked up moved down to level 0."""
+    monkeypatch.setattr(screening, "_FT_SL2", {})
+    t_algorithm(algebra(cartan), parse_basis_monomial(seed))
+    assert screening._FT_SL2
+    assert all(m.data[0][0][1] == 0 for m in screening._FT_SL2)
+
+
+def test_ft_sl2_of_a_shifted_monomial_is_the_shifted_entry():
+    """Dominant rank-1 monomials of degree <= 4 on levels 0..6, shifted by -7, 1, 2, 3 and 100."""
+    s2 = sl2_algebra()
+    tops = [_levels_monomial(levels) for degree in range(1, 5)
+            for levels in combinations_with_replacement(range(7), degree)]
+    for m in tops:
+        strings = ft_sl2(s2, m)
+        for s in (-7, 1, 2, 3, 100):
+            want = [(tuple((l + s, e) for l, e in v), lam) for v, lam in strings]
+            assert ft_sl2(s2, m.shift(s)) == want, (m, s)
