@@ -4,6 +4,7 @@ and the bar-invariant canonical basis with its KL-analogue polynomials."""
 from __future__ import annotations
 
 import weakref
+from collections import namedtuple
 
 from .algebra import Monomial, Terms, YtAlgebra, YtElement
 from .errors import (
@@ -18,7 +19,7 @@ from .screening import f_it, lift_it
 from .tpoly import ONE, TPoly, ZERO
 
 
-class Budget:
+class Budget(namedtuple("Budget", "max_monomials max_a_depth")):
     """Resource limits for the frontier computation, immutable.
 
     max_a_depth is an optional cap on the A-depth.  The character of m_plus
@@ -29,33 +30,12 @@ class Budget:
     monomial instead: the first one found deeper than it fails the run.
     """
 
-    __slots__ = ("max_monomials", "max_a_depth")
+    __slots__ = ()
 
-    def __init__(self, max_monomials: int = 200000, max_a_depth: int | None = None):
+    def __new__(cls, max_monomials: int = 200000, max_a_depth: int | None = None):
         if max_monomials < 1 or (max_a_depth is not None and max_a_depth < 1):
             raise ValueError("budgets must be >= 1")
-        object.__setattr__(self, "max_monomials", max_monomials)
-        object.__setattr__(self, "max_a_depth", max_a_depth)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: a Budget is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: a Budget is immutable")
-
-    def _key(self) -> tuple:
-        return self.max_monomials, self.max_a_depth
-
-    def __eq__(self, other):
-        if other.__class__ is not Budget:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"Budget(max_monomials={self.max_monomials!r}, max_a_depth={self.max_a_depth!r})"
+        return super().__new__(cls, max_monomials, max_a_depth)
 
 
 DEFAULT_BUDGET = Budget()
@@ -77,10 +57,6 @@ def _depth_bound_in_budget(alg: YtAlgebra, m: Monomial, budget: Budget) -> int:
     return bound
 
 
-# field widths W, narrowest first; a W-bit field holds |exponent| < 2^(W-1)
-_WIDTHS = (8, 16, 32, 64)
-
-
 class _Packing:
     """Monomials as integers: the exponent of Y_{i,l} is a W-bit signed field
     at a slot assigned on first sight, and a monomial is the sum of
@@ -93,12 +69,11 @@ class _Packing:
     packs its frontier and unpacks each node part it has not seen before."""
 
     def __init__(self, nodes, reach: int):
-        """Fields of the narrowest width in _WIDTHS that holds every exponent of
-        absolute value at most reach."""
-        fits = [w for w in _WIDTHS if reach < 1 << (w - 1)]
-        if not fits:
+        """Fields of the narrowest width that holds every exponent of absolute
+        value at most reach, W = reach.bit_length() + 1, up to 64 bits."""
+        self.width = reach.bit_length() + 1
+        if self.width > 64:
             raise BudgetExceeded(f"exponents up to {reach} do not fit 64-bit fields")
-        self.width = fits[0]
         self.nodes = list(nodes)
         self.slot = {}  # (node, level) -> slot
         self.keys = []  # slot -> (node, level)
@@ -196,17 +171,13 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
     if not m_plus.is_dominant():
         raise NotDominant(f"seed {m_plus} is not dominant")
     if top_level is None:
-        bound = limit = _depth_bound_in_budget(alg, m_plus, budget)
-        if budget.max_a_depth is not None and budget.max_a_depth < bound:
-            raise BudgetExceeded(
-                f"{m_plus} reaches A-depth {bound}, more than the budget {budget.max_a_depth}"
-            )
-    else:
-        if any(l > top_level for (_, l), _ in m_plus.items()):
-            raise ValueError(f"seed {m_plus} has a Y above the top level {top_level}")
-        bound = limit = alg.depth_bound(m_plus)
-        if budget.max_a_depth is not None:
-            limit = min(bound, budget.max_a_depth)
+        _depth_bound_in_budget(alg, m_plus, budget)
+    elif any(l > top_level for (_, l), _ in m_plus.items()):
+        raise ValueError(f"seed {m_plus} has a Y above the top level {top_level}")
+    bound = alg.depth_bound(m_plus)
+    limit = min(bound, budget.max_a_depth or bound)
+    if top_level is None and limit < bound:
+        raise BudgetExceeded(f"{m_plus} reaches A-depth {bound}, more than the budget {limit}")
     code = _Packing(alg.cartan.nodes(), max((abs(e) for _, e in m_plus.items()), default=0) + bound)
     x_plus = code.encode(m_plus)
     acc = {}  # packed monomial -> {node i: {t-exponent: integer coefficient}}

@@ -41,19 +41,16 @@ def s_it(alg: YtAlgebra, i: int, x: YtElement) -> dict:
         for (j, l), u in m.items():
             if j != i or u == 0:
                 continue
-            coeff = YtElement.from_monomial(m, p * _sigma(u))
-            ll = l
             # reduce the current index into the canonical window, absorbing
-            # the A factors into the left coefficient
+            # each factor t^+-1 a into y with the twist t^N(y, a)
+            y, n, ll = m, 0, l
             while ll >= ri:
                 a = alg.a_monomial_expand({(i, ll - ri): -1})
-                coeff = alg.mul(coeff, YtElement.from_monomial(a, TPoly.t_power(1)))
-                ll -= 2 * ri
+                y, n, ll = y.times(a), n + 1 + alg.bichar_n(y, a), ll - 2 * ri
             while ll < -ri:
-                a_inv = alg.a_monomial_expand({(i, ll + ri): 1})
-                coeff = alg.mul(coeff, YtElement.from_monomial(a_inv, TPoly.t_power(-1)))
-                ll += 2 * ri
-            out[ll].add_scaled(coeff)
+                a = alg.a_monomial_expand({(i, ll + ri): 1})
+                y, n, ll = y.times(a), n - 1 + alg.bichar_n(y, a), ll + 2 * ri
+            out[ll].add_scaled(YtElement.from_monomial(y, p * _sigma(u) * TPoly.t_power(n)))
     return out
 
 

@@ -508,10 +508,10 @@ def test_a_inverse_moves_each_exponent_by_at_most_one(cartan):
         assert {abs(e) for _, e in alg.a_monomial_expand({(i, 0): 1}).items()} == {1}, i
 
 
-@pytest.mark.parametrize("u,width", [(63, 8), (64, 16)])
+@pytest.mark.parametrize("u,width", [(63, 8), (64, 9)])
 def test_t_algorithm_matches_reference_loop_at_the_field_width_edge(sl2, u, width):
     """Y[1,0]^u reaches exponents up to u + depth_bound = 2u: 126 still fits
-    8-bit fields, 128 needs 16-bit ones."""
+    8-bit fields, 128 needs 9-bit ones."""
     seed = Monomial.y(1, 0, u)
     assert u + sl2.depth_bound(seed) == 2 * u
     assert _Packing(sl2.cartan.nodes(), 2 * u).width == width
@@ -524,7 +524,34 @@ def test_exponents_past_64_bit_fields_exceed_the_budget(sl2):
         t_algorithm(sl2, Monomial.y(1, 0, 1 << 62), Budget(max_monomials=1 << 64))
 
 
-@pytest.mark.parametrize("width", [8, 16])
+def test_field_width_is_the_narrowest_that_holds_the_reach():
+    """W = reach.bit_length() + 1 is the narrowest W with reach < 2^(W-1), up to
+    2^63 - 1 in 64-bit fields; one more does not fit."""
+    for reach in range(1 << 12):
+        width = _Packing([1], reach).width
+        assert width == reach.bit_length() + 1
+        assert reach < 1 << (width - 1) and (width == 1 or reach >= 1 << (width - 2)), reach
+    assert _Packing([1], (1 << 63) - 1).width == 64
+    with pytest.raises(BudgetExceeded, match="64-bit fields"):
+        _Packing([1], 1 << 63)
+
+
+def test_e6_node4_runs_on_7_bit_fields(monkeypatch):
+    """E6 node 4 reaches exponents up to 1 + depth_bound = 43, so its run packs
+    into 7-bit fields."""
+    widths = []
+
+    class Recorded(_Packing):
+        def __init__(self, nodes, reach):
+            super().__init__(nodes, reach)
+            widths.append(self.width)
+
+    monkeypatch.setattr(characters, "_Packing", Recorded)
+    assert len(t_algorithm(algebra("E6"), Monomial.y(4, 0))) == 2925
+    assert widths == [7]
+
+
+@pytest.mark.parametrize("width", [8, 9, 16])
 def test_packing_round_trips_at_the_field_edges(width):
     """Encode and add are exact for exponents up to +-(2^(W-1) - 1): the node
     parts of x unpack, joined in node order, to the monomial's data; and
@@ -672,11 +699,11 @@ def test_dominant_product_drops_non_dominant_products_at_the_last_step(sl2):
     assert sorted(map(str, got.monomials())) == ["Y[1,0]", "Y[1,0]^2 Y[1,2]"]
 
 
-@pytest.mark.parametrize("n,width", [(63, 8), (64, 16)])
+@pytest.mark.parametrize("n,width", [(63, 8), (64, 9)])
 def test_dominant_product_at_the_field_width_edge(monkeypatch, sl2, n, width):
     """n copies of the A1 fundamental Y[1,0], each truncated at level 0 to its
     seed: one term Y[1,0]^n with the twist of its pairs. The reach 2n sits on
-    either side of the 8-bit field edge (126 fits, 128 needs 16 bits);
+    either side of the 8-bit field edge (126 fits, 128 needs 9 bits);
     dominant_product prunes on monomials and packs nothing at either."""
     assert _Packing(sl2.cartan.nodes(), 2 * n).width == width
     # built before the patch, whole and at the top level that dominant_product

@@ -182,6 +182,12 @@ def test_domain_error_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("matrix", ["[]", "[[2, -1], [-1]]", "[[]]"])
+def test_ragged_or_empty_matrix_exit_3(capsys, matrix):
+    code, out, err = run(capsys, "tchar", "--cartan", f'{{"matrix": {matrix}}}', "Y[1,0]")
+    assert (code, out, err) == (3, "", "domain error: matrix must be square and nonempty\n")
+
+
 def test_budget_exceeded_exit_4(capsys):
     code, _, err = run(capsys, "tchar", "--cartan", "G2",
                        "--budget-monomials", "3", "Y[2,0]")
@@ -404,6 +410,36 @@ def test_closed_stdout_exits_1_without_traceback(argv):
     finally:
         os.close(write_end)
     assert (result.returncode, result.stderr) == (1, b"")
+
+
+@pytest.mark.parametrize("fmt,room", [("json", 0), ("text", 20)])
+def test_stdout_closed_mid_output_exits_1_silently(capsys, monkeypatch, tmp_path, fmt, room):
+    """A reader that goes after room bytes: main returns 1, writes nothing to
+    stderr and points stdout's descriptor at devnull, so the flush at exit
+    cannot fail; what was written before is a prefix of the whole output."""
+    argv = ["tchar", "--cartan", "E6", "--format", fmt, "Y[4,0]"]
+    code, whole, _ = run(capsys, *argv)
+    assert code == 0
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+    class Closing(io.StringIO):
+        def write(self, text):
+            if self.tell() + len(text) > room:
+                raise BrokenPipeError
+            return super().write(text)
+
+        def fileno(self):
+            return fd
+
+    monkeypatch.setattr(sys, "stdout", Closing())
+    try:
+        code = main(argv)
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert (code, capsys.readouterr().err) == (1, "")
+    written = sys.stdout.getvalue()
+    assert len(written) <= room and whole.startswith(written)
 
 
 def test_internal_inconsistency_exit_5(capsys, monkeypatch):

@@ -38,6 +38,45 @@ def test_screening_is_additive(b2):
             assert left == want
 
 
+def _s_it_by_mul(alg, i, x):
+    """s_it with each window step a twisted product of one-term elements."""
+    ri = alg.cartan.ri(i)
+    out = {l: YtElement.zero() for l in range(-ri, ri)}
+    for m, p in x.items():
+        for (j, l), u in m.items():
+            if j != i or u == 0:
+                continue
+            coeff = YtElement.from_monomial(m, p * screening._sigma(u))
+            ll = l
+            while ll >= ri:
+                a = alg.a_monomial_expand({(i, ll - ri): -1})
+                coeff = alg.mul(coeff, YtElement.from_monomial(a, TPoly.t_power(1)))
+                ll -= 2 * ri
+            while ll < -ri:
+                a_inv = alg.a_monomial_expand({(i, ll + ri): 1})
+                coeff = alg.mul(coeff, YtElement.from_monomial(a_inv, TPoly.t_power(-1)))
+                ll += 2 * ri
+            out[ll].add_scaled(coeff)
+    return out
+
+
+@pytest.mark.parametrize("name", KERNEL_TYPES)
+def test_s_it_matches_twisted_products(name):
+    """With a one-term right factor the twist of mul is bichar_n, so s_it's
+    window steps equal the twisted products, on levels up to several windows
+    away on either side."""
+    alg = algebra(name)
+    rng = random.Random(f"s_it {name}")
+    for i in alg.cartan.nodes():
+        for _ in range(40):
+            x = YtElement.zero()
+            for _ in range(rng.randint(1, 3)):
+                m = Monomial({(rng.choice(list(alg.cartan.nodes())), rng.randint(-12, 12)):
+                              rng.choice([-2, -1, 1, 2]) for _ in range(rng.randint(1, 4))})
+                x.add_scaled(YtElement.from_monomial(m, TPoly.t_power(rng.randint(-3, 3))))
+            assert s_it(alg, i, x) == _s_it_by_mul(alg, i, x), (i, x)
+
+
 def test_screening_of_single_y(sl2):
     vec = s_it(sl2, 1, YtElement.from_monomial(Monomial.y(1, 0)))
     assert vec[0] == YtElement.from_monomial(Monomial.y(1, 0))
