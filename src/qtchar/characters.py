@@ -33,6 +33,13 @@ class Budget(namedtuple("Budget", "max_monomials max_a_depth")):
     __slots__ = ()
 
     def __new__(cls, max_monomials: int = 200000, max_a_depth: int | None = None):
+        return cls._make((max_monomials, max_a_depth))
+
+    @classmethod
+    def _make(cls, iterable):
+        """The one builder that checks the limits: the constructor and
+        _replace both build through it."""
+        max_monomials, max_a_depth = iterable
         if max_monomials < 1 or (max_a_depth is not None and max_a_depth < 1):
             raise ValueError("budgets must be >= 1")
         return super().__new__(cls, max_monomials, max_a_depth)
@@ -81,10 +88,12 @@ class _Packing:
         self.masks = [0] * len(self.nodes)
         self._pairs = {}  # one field, in place -> its (key, exponent), kept for the whole call
 
-    def encode(self, m: Monomial) -> int:
+    def encode(self, data: tuple, lo: int) -> int:
+        """The packed form of the monomial with the given data moved up lo levels."""
         x = 0
         w = self.width
-        for key, e in m.data:
+        for (i, l), e in data:
+            key = (i, l + lo)
             k = self.slot.get(key)
             if k is None:
                 k = self.slot[key] = len(self.keys)
@@ -133,8 +142,9 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
     and hash and equality are integer ones.  A memo that lives only for
     this call holds, per node part of m (_Packing), its sorted (key,
     exponent) pairs, whether m is i-dominant there and, once asked for, its
-    lift; a part does not change as slots are added, and lift_it reads only
-    the node-i part of m.  Only a part not seen before is unpacked, and
+    lift, packed straight from lift_it's level-0 terms and offset; a part
+    does not change as slots are added, and lift_it reads only the node-i
+    part of m.  Only a part not seen before is unpacked, and
     since data is sorted node-major, m's data is its parts' pairs joined in
     node order, with no sort per monomial.  Coefficients are summed per
     monomial and node as integer maps {t-exponent: integer}.  A
@@ -179,7 +189,7 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
     if top_level is None and limit < bound:
         raise BudgetExceeded(f"{m_plus} reaches A-depth {bound}, more than the budget {limit}")
     code = _Packing(alg.cartan.nodes(), max((abs(e) for _, e in m_plus.items()), default=0) + bound)
-    x_plus = code.encode(m_plus)
+    x_plus = code.encode(m_plus.data, 0)
     acc = {}  # packed monomial -> {node i: {t-exponent: integer coefficient}}
     parts = {}  # node-i part -> [its (key, exponent) pairs, i-dominant?, i, lift or None]
     buckets = {0: [x_plus]}  # A-depth -> the packed monomials discovered there
@@ -227,10 +237,11 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
             for entry in lifted:
                 _, _, i, lift = entry
                 if lift is None:
-                    lift = entry[3] = [(code.encode(dl), dw, coeff)
-                                       for dl, dw, coeff in lift_it(alg, i, m)
+                    terms, lo = lift_it(alg, i, m)
+                    lift = entry[3] = [(code.encode(data, lo), dw, coeff)
+                                       for data, dw, coeff in terms
                                        if top_level is None
-                                       or all(l <= top_level for (_, l), _ in dl.data)]
+                                       or all(l + lo <= top_level for (_, l), _ in data)]
                 for delta, depth_w, coeff in lift:
                     depth = depth_m + depth_w
                     if depth > limit:
@@ -240,8 +251,9 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
                                 f"more than the budget {limit}"
                             )
                         # name the first term past the bound in full
-                        mr = next(m.times(dl) for dl, dw, _ in lift_it(alg, i, m)
-                                  if depth_m + dw > bound)
+                        terms, lo = lift_it(alg, i, m)
+                        mr = next(m.times(Monomial.from_sorted(data).shift(lo))
+                                  for data, dw, _ in terms if depth_m + dw > bound)
                         raise InternalInconsistency(
                             f"A-depth {depth} of {mr} exceeds the bound {bound}"
                         )
@@ -491,6 +503,19 @@ def _dominant_closure(alg: YtAlgebra, m: Monomial, budget: Budget) -> set:
     return seen
 
 
+def _subtract_scaled(residual: dict, x: YtElement, a: TPoly) -> None:
+    """residual -= a * x, in place, residual being {monomial: {t-exponent: integer}}:
+    one convolution into the monomial's map per term of x, zeros kept."""
+    a_items = a.coeffs.items()
+    for m, p in x.items():
+        d = residual.get(m)
+        if d is None:
+            d = residual[m] = {}
+        for e2, c2 in p.coeffs.items():
+            for e1, c1 in a_items:
+                d[e1 + e2] = d.get(e1 + e2, 0) - c1 * c2
+
+
 def lt_and_kl(alg: YtAlgebra, m: Monomial, budget: Budget = DEFAULT_BUDGET):
     """Canonical-basis expansion of E_t(m).
 
@@ -501,6 +526,9 @@ def lt_and_kl(alg: YtAlgebra, m: Monomial, budget: Budget = DEFAULT_BUDGET):
     canonical element.  The closure comes from dominant parts; each full
     normalized E_t(mu) is formed only for mu's own closure check, before
     t_algorithm(mu), and dropped after it, so one full E_t is alive at a time.
+    The residual E_t(mu) - F_t(mu) - sum a L(nu) of that check is an integer
+    map (_subtract_scaled); a is read from it at each lower nu, and every
+    entry, dominant or not, must end at zero.
     """
     if not m.is_dominant():
         raise NotDominant(f"{m} is not dominant")
@@ -513,9 +541,9 @@ def lt_and_kl(alg: YtAlgebra, m: Monomial, budget: Budget = DEFAULT_BUDGET):
     nn = {mu: alg.bichar_n(mu, mu) for mu in doms}
     lhat = {}
     for mu in order:
-        residual = e_t_normalized(alg, mu, budget)
+        residual = {mon: dict(p.coeffs) for mon, p in e_t_normalized(alg, mu, budget).items()}
         fhat = t_algorithm(alg, mu, budget)
-        residual.add_scaled(fhat, -1)
+        _subtract_scaled(residual, fhat, ONE)
         lowers = sorted(
             (nu for nu in doms if nu != mu and depth[nu] > depth[mu] and alg.leq(nu, mu)),
             key=lambda nu: (depth[nu], nu.sortkey()),
@@ -523,8 +551,9 @@ def lt_and_kl(alg: YtAlgebra, m: Monomial, budget: Budget = DEFAULT_BUDGET):
         rows = []
         lsum = fhat  # a new element from t_algorithm, so it is summed into in place
         for nu in lowers:
-            a = residual.coeff(nu)
-            residual.add_scaled(lhat[nu], -a)
+            a = TPoly(residual.get(nu))  # drops the entry's zeros
+            if a:
+                _subtract_scaled(residual, lhat[nu], a)
             diff = nn[nu] - nn[mu]
             if diff % 2:
                 raise NonIntegralShift(f"odd quadratic-form gap between {nu} and {mu}")
@@ -535,7 +564,7 @@ def lt_and_kl(alg: YtAlgebra, m: Monomial, budget: Budget = DEFAULT_BUDGET):
             p = alpha - beta
             rows.append((nu, c, p))
             lsum.add_scaled(lhat[nu], beta * TPoly.t_power(c))
-        if not residual.is_zero():
+        if any(any(d.values()) for d in residual.values()):
             raise InternalInconsistency(f"E_t({mu}) did not close over the canonical basis")
         del residual  # so that it is gone before the next member's E_t is formed
         lhat[mu] = lsum

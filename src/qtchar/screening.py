@@ -241,15 +241,19 @@ def _build_lift(alg: YtAlgebra, i: int, m: Monomial, caller: Monomial) -> list:
 _LIFTS = weakref.WeakKeyDictionary()
 
 
-def lift_it(alg: YtAlgebra, i: int, m: Monomial) -> list:
-    """The terms of f_it(m) other than m, as _build_lift returns them.
+def lift_it(alg: YtAlgebra, i: int, m: Monomial) -> tuple:
+    """The terms of f_it(m) other than m, as (terms, lo): each term as
+    _build_lift returns it, but with its Y-delta as data at level 0, which
+    lo levels up is the delta of m.
 
     The algebra is unchanged by a uniform level shift Y_{j,l} -> Y_{j,l+s}:
     N(Y_{i,l}, Y_{j,k}) depends only on l - k, and A_{i,l} moves with the
     shift.  So the lift depends only on the node-i exponents of m up to
     such a shift.  It is built once per algebra and shift class, on the
-    node-i part moved down to level 0, and every lift_it shifts the stored
-    terms back up by the part's lowest level.
+    node-i part moved down to level 0, and every lift_it returns the stored
+    terms with lo, the part's lowest level; the caller shifts them up, so
+    no monomial is made per call.  The terms are the table's own list,
+    which the caller must not change.
     """
     pairs = [(l, u) for (j, l), u in m.data if j == i]
     lo = pairs[0][0] if pairs else 0
@@ -261,14 +265,15 @@ def lift_it(alg: YtAlgebra, i: int, m: Monomial) -> list:
         lift = table[key] = [
             (tuple([shared.setdefault(kv, kv) for kv in dl.data]), dw, shared.setdefault(c, c))
             for dl, dw, c in _build_lift(alg, i, part, m)]
-    return [(Monomial.from_sorted(tuple([((j, l + lo), e) for (j, l), e in data])), dw, c)
-            for data, dw, c in lift]
+    return lift, lo
 
 
 def f_it(alg: YtAlgebra, i: int, m: Monomial) -> YtElement:
     """Kernel element with m as its unique i-dominant monomial: m plus the terms of lift_it."""
     _check_i_dominant(i, m)
-    terms = {m.times(delta): TPoly(dict(coeff)) for delta, _, coeff in lift_it(alg, i, m)}
+    lift, lo = lift_it(alg, i, m)
+    terms = {m.times(Monomial.from_sorted(data).shift(lo)): TPoly(dict(coeff))
+             for data, _, coeff in lift}
     return YtElement({m: ONE, **terms})
 
 

@@ -47,6 +47,16 @@ def test_budget_validation():
         Budget(max_a_depth=0)
 
 
+def test_budget_helpers_validate():
+    """_make and _replace build a Budget through the same checks as the constructor."""
+    with pytest.raises(ValueError):
+        Budget(300, 40)._replace(max_monomials=0)
+    with pytest.raises(ValueError):
+        Budget._make([0, -5])
+    assert Budget(300, 40)._replace(max_a_depth=None) == Budget(300)
+    assert Budget._make([300, 40]) == Budget(300, 40)
+
+
 def test_budget_is_an_immutable_value():
     b = Budget(300, 40)
     assert b == Budget(max_monomials=300, max_a_depth=40) != Budget()
@@ -103,7 +113,7 @@ def test_loop_errors_name_the_whole_monomial(monkeypatch):
     real_lift_it = screening.lift_it
 
     def dominant_lift(alg, i, m):  # one term m Y[2,5], at A-depth 1
-        return [(Monomial.y(2, 5), 1, ((0, 1),))]
+        return [((((2, 5), 1),), 1, ((0, 1),))], 0
 
     monkeypatch.setattr(characters, "lift_it", dominant_lift)
     with pytest.raises(InternalInconsistency,
@@ -112,8 +122,8 @@ def test_loop_errors_name_the_whole_monomial(monkeypatch):
 
     def tilted_lift(alg, i, m):  # t times the node-1 lift of the part Y[1,0] alone
         tilt = i == 1 and [kv for kv in m.items() if kv[0][0] == 1] == [((1, 0), 1)]
-        return [(d, w, tuple((e + tilt, c) for e, c in coeff))
-                for d, w, coeff in real_lift_it(alg, i, m)]
+        terms, lo = real_lift_it(alg, i, m)
+        return [(d, w, tuple((e + tilt, c) for e, c in coeff)) for d, w, coeff in terms], lo
 
     monkeypatch.setattr(characters, "lift_it", tilted_lift)
     with pytest.raises(AlgorithmFails,
@@ -213,8 +223,8 @@ def test_zero_entries_are_no_disagreement(monkeypatch):
     real_lift_it = screening.lift_it
 
     def lift_with_zero(alg, i, m):
-        return [(d, w, coeff + ((99, 0),) if i == 1 else coeff)
-                for d, w, coeff in real_lift_it(alg, i, m)]
+        terms, lo = real_lift_it(alg, i, m)
+        return [(d, w, coeff + ((99, 0),) if i == 1 else coeff) for d, w, coeff in terms], lo
 
     monkeypatch.setattr(characters, "lift_it", lift_with_zero)
     got = t_algorithm(alg, seed)
@@ -555,21 +565,23 @@ def test_e6_node4_runs_on_7_bit_fields(monkeypatch):
 def test_packing_round_trips_at_the_field_edges(width):
     """Encode and add are exact for exponents up to +-(2^(W-1) - 1): the node
     parts of x unpack, joined in node order, to the monomial's data; and
-    the biased top bits of a node's slots tell its dominance."""
+    the biased top bits of a node's slots tell its dominance.  Data moved
+    down by s levels and encoded with the offset s packs the same."""
     top = (1 << (width - 1)) - 1
     code = _Packing([1, 2], top)
     assert code.width == width
     a = Monomial({(1, 0): top - 1, (2, 1): 1 - top})
     b = Monomial({(1, 0): 1, (2, 1): -1, (2, 3): top})
     c = Monomial({(1, 0): -top, (1, 2): -top})
-    xa, xb, xc = (code.encode(m) for m in (a, b, c))
+    xa, xb, xc = (code.encode(m.data, 0) for m in (a, b, c))
     ab, abc = a.times(b), a.times(b).times(c)
     assert {(1, 0): top, (2, 1): -top, (2, 3): top} == dict(ab.items())
     for m, x in [(a, xa), (b, xb), (c, xc), (ab, xa + xb), (abc, xa + xb + xc)]:
         biased = x + code.bias
         unbiased = biased ^ code.bias
         assert sum((code.unpack(unbiased & mask) for mask in code.masks), ()) == m.data
-        assert code.encode(m) == x
+        assert code.encode(m.data, 0) == x
+        assert all(code.encode(m.shift(-s).data, s) == x for s in (-7, 1, 3))
         for i, mask in zip(code.nodes, code.masks):
             top = code.bias & mask
             assert (biased & top == top) == m.is_dominant([i]), (m, i)
@@ -897,6 +909,27 @@ def test_lt_and_kl_closure_check_is_live(monkeypatch, b2):
     monkeypatch.setattr(characters, "_dominant_closure", short_closure)
     with pytest.raises(InternalInconsistency, match="did not close over the canonical basis"):
         lt_and_kl(b2, Monomial({(2, 0): 1, (1, 5): 1}))
+
+
+def test_lt_and_kl_closure_check_reads_non_dominant_terms(monkeypatch, b2):
+    """t^2 times one non-dominant term of the first member's E_t changes no
+    dominant coefficient, so no row; only the full zero test of the
+    residual sees it."""
+    real_e_t = characters.e_t_normalized
+    tilted = []
+
+    def e_t_normalized(alg, mu, budget):
+        e = real_e_t(alg, mu, budget)
+        if not tilted:
+            tilted.append(mu)
+            m2 = next(m2 for m2 in e.monomials() if not m2.is_dominant())
+            e.terms[m2] = e.terms[m2] * TPoly.t_power(2)
+        return e
+
+    monkeypatch.setattr(characters, "e_t_normalized", e_t_normalized)
+    with pytest.raises(InternalInconsistency, match="did not close over the canonical basis") as err:
+        lt_and_kl(b2, parse_basis_monomial("Y[2,0] Y[1,5] Y[2,4]"))
+    assert str(err.value).startswith(f"E_t({tilted[0]}) ")
 
 
 def test_kl_simplest_nontrivial_pair(sl2):

@@ -377,12 +377,15 @@ def _recorded_lifts(monkeypatch, run):
 
 
 def _assert_lifts_match_the_build(alg, calls):
-    """lift_it equals the uncached build on m, and on m shifted by 1, 2 and 3."""
+    """lift_it's terms, moved up by its offset, equal the uncached build on m,
+    and on m shifted by -7, -1, 1, 2 and 3."""
     assert calls
     for i, m in calls:
-        for s in range(4):
+        for s in (-7, -1, 0, 1, 2, 3):
             ms = m.shift(s)
-            assert screening.lift_it(alg, i, ms) == screening._build_lift(alg, i, ms, ms), (i, m, s)
+            terms, lo = screening.lift_it(alg, i, ms)
+            got = [(Monomial.from_sorted(d).shift(lo), w, c) for d, w, c in terms]
+            assert got == screening._build_lift(alg, i, ms, ms), (i, m, s)
 
 
 @pytest.mark.parametrize("name", KERNEL_TYPES + ["F4", "E6"])
