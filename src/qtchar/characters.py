@@ -38,8 +38,12 @@ class Budget(namedtuple("Budget", "max_monomials max_a_depth")):
     @classmethod
     def _make(cls, iterable):
         """The one builder that checks the limits: the constructor and
-        _replace both build through it."""
-        max_monomials, max_a_depth = iterable
+        _replace both build through it.  A limit that is not an int (bool
+        included; max_a_depth may be None) is a TypeError naming its field."""
+        max_monomials, max_a_depth = limits = tuple(iterable)
+        for name, v in zip(cls._fields, limits):
+            if type(v) is not int and (v is not None or name == "max_monomials"):
+                raise TypeError(f"Budget {name} must be an int, not {v!r}")
         if max_monomials < 1 or (max_a_depth is not None and max_a_depth < 1):
             raise ValueError("budgets must be >= 1")
         return super().__new__(cls, max_monomials, max_a_depth)

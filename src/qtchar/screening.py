@@ -88,22 +88,6 @@ def e_it(alg: YtAlgebra, i: int, m: Monomial) -> YtElement:
     return acc
 
 
-def _residue_shadows(alg: YtAlgebra, i: int, m: Monomial):
-    """Split the node-i exponents of m into rank-1 shadows per residue class.
-
-    Class k = l mod r_i maps to its shadow, the rank-1 monomial with
-    Y_{1,level} ^ exponent per Y_{i,l}, at level (l - k) / r_i.
-    """
-    ri = alg.cartan.ri(i)
-    shadows = {}
-    for (j, l), u in m.data:
-        if j == i:
-            k = l % ri
-            shadows.setdefault(k, []).append(((1, (l - k) // ri), u))
-    # m is level-sorted, so each shadow is too
-    return {k: Monomial.from_sorted(tuple(s)) for k, s in shadows.items()}
-
-
 def _n_y_a(y: dict, v) -> int:
     """Rank-1 N(Y^y, A^-v), v as (level, exponent) pairs.  C(z) C~(z) = I makes
     N(Y_k, A_l^-1) +1 at k = l + 1, -1 at k = l - 1 and 0 elsewhere; N is antisymmetric."""
@@ -128,7 +112,7 @@ def _plus(w: tuple, v: tuple) -> tuple:
 # (v, lam) per term lam * m A^-v, v a tuple of (level, exponent).  Every
 # rank-1 algebra has the Cartan matrix [[2]], so one table serves them all,
 # and every node and residue class whose shadow is m shares the entry;
-# _build_lift keys it by shadows moved down to level 0.
+# _build_lift keys it by shadows whose lowest level is 0.
 _FT_SL2 = {}
 
 
@@ -192,15 +176,17 @@ def ft_sl2(alg: YtAlgebra, m: Monomial) -> list:
     return strings
 
 
-def _build_lift(alg: YtAlgebra, i: int, m: Monomial, caller: Monomial) -> list:
+def _build_lift(alg: YtAlgebra, i: int, pairs, caller: Monomial) -> list:
     """The terms of f_it(m) other than m: (Y-delta, sum W, coefficient items) per m A^-W.
 
-    m must be i-dominant.  The lift is the product over the residue shadows
-    mk of m (its node-i exponents on the levels k mod r_i) of the rank-1
-    characters ft_sl2(mk), each term lam * mk A^-v relabelled back to node i
-    as A^-W, W = {(i, k + level * r_i): exponent} over v.  Each shadow is
-    looked up moved down to its lowest level lo, and its strings are
-    relabelled from base = k + lo * r_i, so the table is keyed at level 0.
+    pairs are the node-i (level, exponent) pairs of an i-dominant m, in
+    level order.  They fall into the residue classes l mod r_i, taken in
+    the order of each class's first level.  A class with lowest level l0
+    has the shadow mk, the rank-1 monomial with Y_{1,(l - l0) / r_i} ^
+    exponent per pair, so every shadow has lowest level 0.  The lift is the
+    product over the classes of the rank-1 characters ft_sl2(mk), each term
+    lam * mk A^-v relabelled back to node i as A^-W, W = {(i, l0 + level *
+    r_i): exponent} over v.
     The twist is local in the A variables: C(z) C~(z) = I gives
     N(Y_{j,k}, A_{i,l}^-1) = +1 at (j, k) = (i, l + r_i), -1 at (i, l - r_i)
     and 0 otherwise.  Hence N(A_{i,k}^-1, A_{i,l}^-1) is nonzero only at
@@ -216,12 +202,14 @@ def _build_lift(alg: YtAlgebra, i: int, m: Monomial, caller: Monomial) -> list:
     """
     ri = alg.cartan.ri(i)
     s2 = sl2_algebra()
+    classes = {}
+    for l, u in pairs:
+        classes.setdefault(l % ri, []).append((l, u))
     terms = [({}, ONE)]
-    for k, mk in _residue_shadows(alg, i, m).items():
-        lo = mk.data[0][0][1]
-        base = k + lo * ri
-        strings = [({(i, base + lv * ri): e for lv, e in v}, lam)
-                   for v, lam in ft_sl2(s2, mk.shift(-lo))]
+    for members in classes.values():
+        l0 = members[0][0]
+        mk = Monomial.from_sorted(tuple([((1, (l - l0) // ri), u) for l, u in members]))
+        strings = [({(i, l0 + lv * ri): e for lv, e in v}, lam) for v, lam in ft_sl2(s2, mk)]
         terms = [({**w, **wk}, p * lam) for w, p in terms for wk, lam in strings]
     lift, lead = [], ZERO
     for w, p in terms:
@@ -261,10 +249,9 @@ def lift_it(alg: YtAlgebra, i: int, m: Monomial) -> tuple:
     table, shared = _LIFTS.get(alg) or _LIFTS.setdefault(alg, ({}, {}))
     lift = table.get(key)
     if lift is None:
-        part = Monomial.from_sorted(tuple([((i, l), u) for l, u in key[1]]))
         lift = table[key] = [
             (tuple([shared.setdefault(kv, kv) for kv in dl.data]), dw, shared.setdefault(c, c))
-            for dl, dw, c in _build_lift(alg, i, part, m)]
+            for dl, dw, c in _build_lift(alg, i, key[1], m)]
     return lift, lo
 
 

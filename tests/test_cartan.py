@@ -333,6 +333,13 @@ def test_json_inputs_rejected(obj):
         cartan_from_json(obj)
 
 
+def test_non_string_and_non_object_inputs_are_named():
+    with pytest.raises(ParseError, match="^Cartan type must be a string, not 3$"):
+        named_cartan(3)
+    with pytest.raises(ParseError, match="^Cartan input must be a name or a JSON object$"):
+        cartan_from_json([[2]])
+
+
 def test_import_leaves_sympy_out():
     src = os.path.dirname(os.path.dirname(qtchar.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

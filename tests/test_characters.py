@@ -57,6 +57,25 @@ def test_budget_helpers_validate():
     assert Budget._make([300, 40]) == Budget(300, 40)
 
 
+@pytest.mark.parametrize("build,field", [
+    (lambda: Budget(2.5), "max_monomials"),
+    (lambda: Budget(True), "max_monomials"),
+    (lambda: Budget("5"), "max_monomials"),
+    (lambda: Budget(None), "max_monomials"),
+    (lambda: Budget(10, 2.5), "max_a_depth"),
+    (lambda: Budget(10, False), "max_a_depth"),
+    (lambda: Budget(300, 40)._replace(max_a_depth=1.5), "max_a_depth"),
+    (lambda: Budget(300, 40)._replace(max_monomials=True), "max_monomials"),
+    (lambda: Budget._make([0.0, None]), "max_monomials"),  # TypeError before the range check
+    (lambda: Budget._make([300, "40"]), "max_a_depth"),
+])
+def test_budget_refuses_non_integer_limits(build, field):
+    """A limit whose type is not int, bool included, is a TypeError naming its
+    field; max_a_depth alone may be None."""
+    with pytest.raises(TypeError, match=f"^Budget {field} must be an int, not "):
+        build()
+
+
 def test_budget_is_an_immutable_value():
     b = Budget(300, 40)
     assert b == Budget(max_monomials=300, max_a_depth=40) != Budget()

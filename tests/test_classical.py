@@ -13,7 +13,7 @@ from qtchar.classical import (
     sl2_classical_e,
     sl2_classical_f,
 )
-from qtchar.errors import InternalInconsistency, NotDominant
+from qtchar.errors import BudgetExceeded, InternalInconsistency, NotDominant
 from qtchar.sl2 import classic_L, is_irregular
 
 
@@ -99,3 +99,10 @@ def test_classical_tensor_seed(a2):
     assert cc == ft.at_one()
     assert cc[m] == 1
     assert all(isinstance(c, int) for c in cc.values())
+
+
+def test_classical_frontier_over_budget(a2):
+    """Y[1,0] has three monomials, so a budget of two is outgrown."""
+    with pytest.raises(BudgetExceeded, match="^classical frontier outgrew budget$"):
+        classical_algorithm(a2, Monomial.y(1, 0), max_monomials=2)
+    assert len(classical_algorithm(a2, Monomial.y(1, 0), max_monomials=3)) == 3

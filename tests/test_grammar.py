@@ -60,6 +60,13 @@ def test_normal_ordered_group(sl2):
         parse_monomial(sl2, ": Y[1,0]")
 
 
+def test_normal_ordered_group_errors_say_what_is_wrong(a2):
+    with pytest.raises(ParseError, match=r"^unterminated : \.\.\. : group$"):
+        parse_monomial(a2, ": Y[1,0]")
+    with pytest.raises(ParseError, match=r"^t-powers are not allowed inside : \.\.\. : groups$"):
+        parse_monomial(a2, ": t Y[1,0] :")
+
+
 def test_parse_errors(sl2, b2):
     for bad in ["", "Z[1,0]", "Y[1,0]^0", "A[1,0]^2", "A[1,0]^1", "Y[1;0]",
                 # ASCII digits only: Arabic-Indic and full-width digits

@@ -385,7 +385,8 @@ def _assert_lifts_match_the_build(alg, calls):
             ms = m.shift(s)
             terms, lo = screening.lift_it(alg, i, ms)
             got = [(Monomial.from_sorted(d).shift(lo), w, c) for d, w, c in terms]
-            assert got == screening._build_lift(alg, i, ms, ms), (i, m, s)
+            pairs = [(l, u) for (j, l), u in ms.data if j == i]
+            assert got == screening._build_lift(alg, i, pairs, ms), (i, m, s)
 
 
 @pytest.mark.parametrize("name", KERNEL_TYPES + ["F4", "E6"])
@@ -421,6 +422,28 @@ def test_rerun_and_shifted_seed_build_no_lift(cartan, seed, monkeypatch):
     assert t_algorithm(alg, m) == want
     assert list(t_algorithm(alg, m.shift(1)).items()) == list(want.shift(1).items())
     assert builds == []
+
+
+F4_BENCH = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+
+
+@pytest.mark.parametrize("cartan", ["A3", "B2", "C3", "G2", F4_BENCH])
+def test_build_lift_moves_with_a_level_shift(cartan):
+    """_build_lift on node-i pairs moved by s is the unmoved build with each
+    Y-delta moved by s: each residue class is relabelled from its own lowest
+    level, whatever class that level falls in."""
+    alg = algebra(cartan)
+    rng = random.Random(33)
+    for _ in range(25):
+        i = rng.choice(list(alg.cartan.nodes()))
+        levels = sorted(rng.sample(range(9), rng.randint(1, 3)))
+        pairs = [(l, rng.randint(1, 2)) for l in levels]
+        m = Monomial({(i, l): u for l, u in pairs})
+        want = screening._build_lift(alg, i, pairs, m)
+        for s in (-5, 1, 3):
+            moved = [(l + s, u) for l, u in pairs]
+            got = screening._build_lift(alg, i, moved, m.shift(s))
+            assert got == [(dl.shift(s), w, c) for dl, w, c in want], (cartan, i, pairs, s)
 
 
 def test_lift_table_does_not_keep_the_algebra_alive():
