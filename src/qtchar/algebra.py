@@ -75,15 +75,6 @@ class Monomial:
         # a uniform level shift keeps data sorted and zero-free
         return Monomial.from_sorted(tuple([((i, l + dl), e) for (i, l), e in self.data]))
 
-    def levels(self):
-        return sorted({l for (_, l), _ in self.data})
-
-    def max_level(self):
-        return max((l for (_, l), _ in self.data), default=None)
-
-    def level_slice(self, l: int) -> dict:
-        return {(i, ll): e for (i, ll), e in self.data if ll == l}
-
     def degree(self) -> int:
         return sum(e for _, e in self.data)
 
@@ -95,7 +86,7 @@ class Monomial:
 
     def is_right_negative(self) -> bool:
         """At the maximal occurring level, every exponent is negative."""
-        top = self.max_level()
+        top = max((l for (_, l), _ in self.data), default=None)
         if top is None:
             return False
         return all(e < 0 for (_, l), e in self.data if l == top)
@@ -510,17 +501,14 @@ class YtAlgebra:
         return self._word_twist(word) - self._word_twist(sorted_word)
 
     def nt_bichar(self, m1: Monomial, m2: Monomial) -> int:
-        """Antisymmetrized level-ordered bicharacter on exponent maps."""
-        levels1 = m1.levels()
-        levels2 = m2.levels()
+        """Antisymmetrized level-ordered bicharacter on exponent maps: the sum
+        over Y_{i,l}^e1 in m1 and Y_{j,k}^e2 in m2 with k < l of
+        e1 e2 (N(Y_{i,l}, Y_{j,k}) - N(Y_{j,k}, Y_{i,l}))."""
         total = 0
-        for l in levels1:
-            s1 = Monomial(m1.level_slice(l))
-            for lp in levels2:
-                if lp >= l:
-                    continue
-                s2 = Monomial(m2.level_slice(lp))
-                total += self.bichar_n(s1, s2) - self.bichar_n(s2, s1)
+        for (i, l), e1 in m1.items():
+            for (j, k), e2 in m2.items():
+                if k < l:
+                    total += e1 * e2 * (self.n_pair(i, l, j, k) - self.n_pair(j, k, i, l))
         return total
 
     # -- simply-laced extras --------------------------------------------

@@ -38,9 +38,13 @@ class Budget(namedtuple("Budget", "max_monomials max_a_depth")):
     @classmethod
     def _make(cls, iterable):
         """The one builder that checks the limits: the constructor and
-        _replace both build through it.  A limit that is not an int (bool
+        _replace both build through it.  A wrong number of limits is
+        namedtuple's own TypeError; a limit that is not an int (bool
         included; max_a_depth may be None) is a TypeError naming its field."""
-        max_monomials, max_a_depth = limits = tuple(iterable)
+        limits = tuple(iterable)
+        if len(limits) != len(cls._fields):
+            raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(limits)}")
+        max_monomials, max_a_depth = limits
         for name, v in zip(cls._fields, limits):
             if type(v) is not int and (v is not None or name == "max_monomials"):
                 raise TypeError(f"Budget {name} must be an int, not {v!r}")

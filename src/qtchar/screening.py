@@ -22,8 +22,6 @@ from .tpoly import ONE, ZERO, TPoly
 
 def _sigma(u: int) -> TPoly:
     """(t^{2u} - 1)/(t^2 - 1) in closed form; a Laurent polynomial for every u."""
-    if u == 0:
-        return TPoly.zero()
     if u > 0:
         return TPoly({2 * s: 1 for s in range(u)})
     return TPoly({-2 * s: -1 for s in range(1, -u + 1)})
@@ -33,24 +31,26 @@ def s_it(alg: YtAlgebra, i: int, x: YtElement) -> dict:
     """Apply the node-i deformed screening operator.
 
     The result maps each canonical index l in [-r_i, r_i) to its component,
-    a YtElement.
+    a YtElement.  An entry Y_{i,l}^u of a term p m moves into the window,
+    l = ll + 2 r_i q, through q twisted products with t^s A_{i,c}^s, s the
+    sign of q, c = l - s r_i (2k + 1) for k < |q|; ll gets p sigma(u) t^n y,
+    y = m times that A-string.  As C(z) C~(z) = I, N(m, A_{i,c}^-1) =
+    u_{i,c+r_i}(m) - u_{i,c-r_i}(m) and N(A_{i,c}^-1, A_{i,c'}^-1) = [c = c'
+    - 2 r_i] - [c = c' + 2 r_i].  So each step adds s to n, the N against m
+    telescope to u_{i,ll}(m) - u, and each step after the first meets the A
+    of the one before, adding -s: n = s + u_{i,ll}(m) - u, 0 when q = 0.
     """
     ri = alg.cartan.ri(i)
     out = {l: YtElement.zero() for l in range(-ri, ri)}
     for m, p in x.items():
         for (j, l), u in m.items():
-            if j != i or u == 0:
-                continue
-            # reduce the current index into the canonical window, absorbing
-            # each factor t^+-1 a into y with the twist t^N(y, a)
-            y, n, ll = m, 0, l
-            while ll >= ri:
-                a = alg.a_monomial_expand({(i, ll - ri): -1})
-                y, n, ll = y.times(a), n + 1 + alg.bichar_n(y, a), ll - 2 * ri
-            while ll < -ri:
-                a = alg.a_monomial_expand({(i, ll + ri): 1})
-                y, n, ll = y.times(a), n - 1 + alg.bichar_n(y, a), ll + 2 * ri
-            out[ll].add_scaled(YtElement.from_monomial(y, p * _sigma(u) * TPoly.t_power(n)))
+            if j == i:
+                q, ll = divmod(l + ri, 2 * ri)
+                ll, s = ll - ri, (q > 0) - (q < 0)
+                a = {(i, l - s * ri * (2 * k + 1)): -s for k in range(abs(q))}
+                y = m.times(alg.a_monomial_expand(a)) if q else m
+                n = s + m.u(i, ll) - u
+                out[ll].add_scaled(YtElement.from_monomial(y, p * _sigma(u) * TPoly.t_power(n)))
     return out
 
 
@@ -72,7 +72,7 @@ def e_it(alg: YtAlgebra, i: int, m: Monomial) -> YtElement:
     _check_i_dominant(i, m)
     ri = alg.cartan.ri(i)
     acc = YtElement.unit()
-    for l in m.levels():
+    for l in sorted({l for (_, l), _ in m.items()}):
         ui = m.u(i, l)
         if ui:
             a_inv = alg.a_monomial_expand({(i, l + ri): 1})

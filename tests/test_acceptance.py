@@ -59,7 +59,7 @@ def test_criterion_3_kernel_suite():
     start = time.monotonic()
     checks = suites.kernels()
     assert time.monotonic() - start < 60.0
-    _assert_suite(checks, 22)
+    _assert_suite(checks, 45)
 
 
 def test_criterion_4_positivity():

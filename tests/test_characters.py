@@ -3,6 +3,7 @@ import heapq
 import random
 import re
 import weakref
+from collections import namedtuple
 
 import pytest
 
@@ -74,6 +75,18 @@ def test_budget_refuses_non_integer_limits(build, field):
     field; max_a_depth alone may be None."""
     with pytest.raises(TypeError, match=f"^Budget {field} must be an int, not "):
         build()
+
+
+@pytest.mark.parametrize("limits", [[3], [0.5], [300, 40, 7], [0, "x", None]])
+def test_budget_make_refuses_a_wrong_number_of_limits(limits):
+    """_make with other than two limits raises namedtuple's own TypeError,
+    before the type and range checks of the limits it was given."""
+    plain = namedtuple("Budget", Budget._fields)
+    with pytest.raises(TypeError) as want:
+        plain._make(limits)
+    with pytest.raises(TypeError) as got:
+        Budget._make(limits)
+    assert str(got.value) == str(want.value) == f"Expected 2 arguments, got {len(limits)}"
 
 
 def test_budget_is_an_immutable_value():

@@ -7,7 +7,7 @@ import pytest
 
 from qtchar import algebra, characters, screening
 from qtchar.algebra import Monomial, YtAlgebra, YtElement
-from qtchar.characters import lt_and_kl, t_algorithm
+from qtchar.characters import fundamental, lt_and_kl, t_algorithm
 from qtchar.errors import NotIDominant
 from qtchar.grammar import parse_basis_monomial
 from qtchar.screening import (
@@ -162,6 +162,18 @@ def test_kernel_closed_under_products(b2):
     f2 = f_it(b2, 1, Monomial.y(1, 3))
     assert in_kernel(b2, 1, b2.mul(f1, f2))
     assert in_kernel(b2, 1, f1 + f2.scale(ONE))
+
+
+def test_one_wrong_t_power_leaves_the_kernels():
+    """E6 node 4's character lies in every kernel (the kernel suite checks
+    it); multiplying one coefficient by t^2, the seed's or one halfway down,
+    takes it out of some kernel."""
+    e6 = algebra("E6")
+    f = fundamental(e6, 4)
+    terms = list(f.items())
+    for m, p in (terms[0], terms[len(terms) // 2]):
+        wrong = f + YtElement.from_monomial(m, p * TPoly.t_power(2) - p)
+        assert not in_kernel_all(e6, wrong), m
 
 
 # ---------------------------------------------------------------------------
