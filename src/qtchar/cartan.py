@@ -147,6 +147,58 @@ class SymmetrizedCartan:
         self.double_heights = [int(2 * h) for h in self.heights]
         if self.double_heights != [2 * h for h in self.heights]:
             raise InternalInconsistency(f"2 ht(omega_k) for {self.heights} are not all integers")
+        self._duality = {}  # node -> (star, c) of its Dynkin component, filled by duality
+
+    def duality(self, i: int):
+        """(star, c) for the Dynkin component of node i, computed on first use.
+
+        star maps each node k of the component to k*, where -w0 omega_k =
+        omega_k*, and c = r^v h^v.  A_{j,l} has weight alpha_j = sum_m C_mj
+        omega_m, so the simple reflection s_j lowers a weight's coordinates by
+        its j-th coordinate times column j of C; applied while some coordinate
+        is positive, it takes omega_k to the antidominant -omega_k*.  In root
+        coordinates <beta, alpha_j^v> is row j of C against beta, and the same
+        walk the other way takes a simple root of the largest r_j to the
+        highest root theta, the one dominant long root; then c = max r +
+        sum_k theta_k r_k over the component (h^v on simply-laced types, 12 on
+        G2, 18 on F4).  The lowest monomial of the fundamental with highest
+        monomial Y_{i,l} is Y_{i*,l+c}^-1 (Frenkel-Mukhin, math/9911112).
+        """
+        if i not in self._duality:
+            comp, stack = {i}, [i]
+            while stack:
+                j = stack.pop()
+                for k in self.nodes():
+                    if k not in comp and self.c(j, k):
+                        comp.add(k)
+                        stack.append(k)
+            comp = sorted(comp)
+            cols = {j: [(m, self.c(m, j)) for m in comp if self.c(m, j)] for j in comp}
+            rows = {j: [(k, self.c(j, k)) for k in comp if self.c(j, k)] for j in comp}
+            star = {}
+            for k in comp:
+                wt = dict.fromkeys(comp, 0)
+                wt[k] = 1
+                while (j := next((j for j in comp if wt[j] > 0), None)) is not None:
+                    step = wt[j]
+                    for m, cmj in cols[j]:
+                        wt[m] -= step * cmj
+                low = [m for m in comp if wt[m]]
+                if len(low) != 1 or wt[low[0]] != -1:
+                    raise InternalInconsistency(f"w0 omega_{k} is not minus a fundamental weight")
+                star[k] = low[0]
+            top = max(self.ri(j) for j in comp)
+            theta = dict.fromkeys(comp, 0)
+            theta[next(j for j in comp if self.ri(j) == top)] = 1
+            while True:
+                pair = {j: sum(theta[k] * cjk for k, cjk in rows[j]) for j in comp}
+                j = next((j for j in comp if pair[j] < 0), None)
+                if j is None:
+                    break
+                theta[j] -= pair[j]
+            self._duality.update(dict.fromkeys(comp, (star, top + sum(
+                theta[k] * self.ri(k) for k in comp))))
+        return self._duality[i]
 
     def c(self, i: int, j: int) -> int:
         """Entry C_{i,j}, 1-based."""

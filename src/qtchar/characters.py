@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import weakref
 from collections import namedtuple
+from itertools import islice
 
 from .algebra import Monomial, Terms, YtAlgebra, YtElement
 from .errors import (
@@ -104,12 +105,26 @@ class _Packing:
             key = (i, l + lo)
             k = self.slot.get(key)
             if k is None:
-                k = self.slot[key] = len(self.keys)
-                self.keys.append(key)
-                self.bias += 1 << (w * k + w - 1)
-                self.masks[self.nodes.index(key[0])] |= ((1 << w) - 1) << (w * k)
+                k = self._new_slot(key)
             x += e << (w * k)
         return x
+
+    def _new_slot(self, key) -> int:
+        k = self.slot[key] = len(self.keys)
+        w = self.width
+        self.keys.append(key)
+        self.bias += 1 << (w * k + w - 1)
+        self.masks[self.nodes.index(key[0])] |= ((1 << w) - 1) << (w * k)
+        return k
+
+    def pair(self, key, e: int) -> tuple:
+        """The pair (key, e) as the one object that unpack makes for it; key
+        gets a slot if it has none, which changes no packed monomial."""
+        k = self.slot.get(key)
+        if k is None:
+            k = self._new_slot(key)
+        w = self.width
+        return self._pairs.setdefault((e & ((1 << w) - 1)) << (w * k), (key, e))
 
     def unpack(self, part: int) -> tuple:
         """The sorted (key, exponent) pairs of a node part.  A pair is made once
@@ -184,7 +199,21 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
     that the bound fits budget.max_monomials nor the one against
     budget.max_a_depth applies; the fields are still sized from the bound,
     every edge is still held to it, and the first monomial found deeper than
-    max_a_depth raises BudgetExceeded.
+    max_a_depth raises BudgetExceeded.  Such a run, and every seed other
+    than one Y_{i,l0} with exponent 1, runs the whole loop described above.
+
+    Half depth.  The lowest monomial of the fundamental with highest
+    monomial Y_{i,l0} is Y_{i*,l0+c}^-1, with i -> i* the map -w0 on the
+    nodes and c = r^v h^v (Frenkel-Mukhin, math/9911112), and every
+    fundamental tried is invariant, with equal t-coefficients, under
+    sigma(Y_{j,l}) = Y_{j*,c+2 l0-l}^-1; at t = 1 this follows from the
+    citation, for general t it is observed.  sigma maps A-depth d to D - d,
+    D = depth_bound(m_plus).  So a whole run from Y_{i,l0} lifts only the
+    depths below H = ceil(D/2), whose terms are then final up to depth H,
+    and drops every edge deeper than H.  _mirror checks the seam, adds the
+    sigma-images of the rest, counting them toward budget.max_monomials,
+    and keeps the result in A-depth order.  A top_level of l0 + c truncates
+    nothing, so it gives the whole loop for a fundamental.
     """
     if not m_plus.is_dominant():
         raise NotDominant(f"seed {m_plus} is not dominant")
@@ -197,9 +226,15 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
     if top_level is None and limit < bound:
         raise BudgetExceeded(f"{m_plus} reaches A-depth {bound}, more than the budget {limit}")
     code = _Packing(alg.cartan.nodes(), max((abs(e) for _, e in m_plus.items()), default=0) + bound)
+    # a whole run from one Y_{i,l0}: the depths below stop are lifted, the rest mirrored
+    half = top_level is None and len(m_plus.data) == 1 and m_plus.data[0][1] == 1
+    stop = (bound + 1) // 2 if half else bound + 1
+    cut = stop if half else limit  # an edge deeper than cut is dropped (half) or fails
+    rows = {}  # with half, A-depth -> the packed monomials of its terms in s, for _mirror
     x_plus = code.encode(m_plus.data, 0)
     acc = {}  # packed monomial -> {node i: {t-exponent: integer coefficient}}
-    parts = {}  # node-i part -> [its (key, exponent) pairs, i-dominant?, i, lift or None]
+    # node-i part -> [its (key, exponent) pairs, i-dominant?, i, lift or None, mirror or None]
+    parts = {}
     buckets = {0: [x_plus]}  # A-depth -> the packed monomials discovered there
     s = {}  # m -> nonzero s(m), in A-depth order, each depth in the order found
     shared = {frozenset(ONE.coeffs.items()): ONE}  # coefficient items -> the one TPoly of s(m)
@@ -207,6 +242,7 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
     while buckets:
         depth_m = min(buckets)
         bias, node_masks = code.bias, tuple(zip(code.nodes, code.masks))
+        row = rows[depth_m] = [] if half else None
         for x in buckets.pop(depth_m):
             ux = (x + bias) ^ bias
             data, neg, lifted = [], [], []
@@ -215,7 +251,7 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
                     entry = parts.get(part)
                     if entry is None:
                         pairs = code.unpack(part)
-                        entry = parts[part] = [pairs, all(e > 0 for _, e in pairs), i, None]
+                        entry = parts[part] = [pairs, all(e > 0 for _, e in pairs), i, None, None]
                     data += entry[0]
                     if entry[1]:
                         lifted.append(entry)
@@ -241,9 +277,13 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
             if not sm:
                 continue
             s[m] = sm
+            if row is not None:
+                row.append(x)
+                if depth_m == stop:
+                    continue
             sm_items = sm.coeffs.items()
             for entry in lifted:
-                _, _, i, lift = entry
+                _, _, i, lift, _ = entry
                 if lift is None:
                     terms, lo = lift_it(alg, i, m)
                     lift = entry[3] = [(code.encode(data, lo), dw, coeff)
@@ -252,7 +292,9 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
                                        or all(l + lo <= top_level for (_, l), _ in data)]
                 for delta, depth_w, coeff in lift:
                     depth = depth_m + depth_w
-                    if depth > limit:
+                    if depth > cut:
+                        if half:
+                            continue
                         if depth <= bound:  # only a truncated run has limit < bound
                             raise BudgetExceeded(
                                 f"{m_plus} reaches A-depth {depth} at levels up to {top_level}, "
@@ -279,7 +321,60 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
                     for e1, c1 in sm_items:
                         for e2, c2 in coeff:
                             d[e1 + e2] = d.get(e1 + e2, 0) + c1 * c2
+    if half:
+        _mirror(alg, m_plus, bound, stop, budget, code, parts, rows, s)
     return YtElement._adopt(s)  # every s(m) stored is a nonzero TPoly
+
+
+def _mirror(alg: YtAlgebra, m_plus: Monomial, bound: int, stop: int, budget: Budget,
+            code: _Packing, parts: dict, rows: dict, s: dict) -> None:
+    """Complete the fundamental character s, computed up to A-depth
+    H = stop = ceil(D/2), D = bound = depth_bound(m_plus), by its duality
+    images.
+
+    sigma(Y_{j,l}) = Y_{j*,c+2 l0-l}^-1, with (star, c) from
+    SymmetrizedCartan.duality, maps A-depth d to D - d.  The depth-H terms
+    of s must be the images of the depth-(D - H) ones (the seam), or
+    InternalInconsistency names the seed and the depth.  Then s gets
+    sigma(m), with s(m), for each term m at a depth d < D - H, deepest
+    first, so s stays in A-depth order.  sigma takes the node-k* part of m
+    to the node-k part of sigma(m), so it is built once per node part, into
+    the part's memo entry, from pairs made by _Packing.pair.  rows holds,
+    per depth, the packed monomials of its terms, in the order of s; each
+    depth's are dropped once mirrored.
+    """
+    [((i0, l0), _)] = m_plus.data
+    star, c = alg.cartan.duality(i0)
+    bias = code.bias
+    masks = [code.masks[code.nodes.index(star[k])] for k in code.nodes if k in star]
+    values, start, at = list(s.values()), {}, 0
+    for d, xs in rows.items():
+        start[d], at = at, at + len(xs)
+
+    def images(d: int, out: dict) -> dict:
+        xs = rows.pop(d, ())
+        for x, sm in zip(xs, values[start.get(d, 0):start.get(d, 0) + len(xs)]):
+            ux = (x + bias) ^ bias
+            data = []
+            for mask in masks:
+                if part := ux & mask:
+                    entry = parts[part]
+                    if entry[4] is None:
+                        entry[4] = tuple([code.pair((star[j], c + 2 * l0 - l), -e)
+                                          for (j, l), e in reversed(entry[0])])
+                    data += entry[4]
+            out[Monomial.from_sorted(tuple(data))] = sm
+        return out
+
+    total = len(s) + sum(len(rows.get(d, ())) for d in range(bound - stop))
+    if total > budget.max_monomials:
+        raise BudgetExceeded(f"{m_plus} has {total} monomials, more than {budget.max_monomials}")
+    if images(bound - stop, {}) != dict(islice(s.items(), start.get(stop, len(s)), None)):
+        raise InternalInconsistency(
+            f"the terms of {m_plus} at A-depth {stop} are not the duality images of those "
+            f"at A-depth {bound - stop}")
+    for d in range(bound - stop - 1, -1, -1):
+        images(d, s)
 
 
 # algebra -> {(node i, None or top): the character with highest monomial Y_{i,0},

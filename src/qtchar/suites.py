@@ -26,7 +26,7 @@ from .characters import (
 from .grammar import parse_element_lines, parse_rep_monomial
 from .screening import in_kernel_all
 from .sl2 import sl2_algebra
-from .tpoly import TPoly
+from .tpoly import ONE, TPoly
 
 FIXTURE_KEYS = [
     ("a1a1", {"matrix": [[2, 0], [0, 2]]}),
@@ -48,6 +48,18 @@ PRODUCT_INPUTS = [
     ("D5", "X[3,2]", "X[3,0]"),
     ("A4", "X[2,4] X[3,2]", "X[2,0] X[3,1]"),
     ("E6", "X[1,2]", "X[1,0]"),
+]
+
+# the duality suite's table, (label, Cartan input, i* of nodes 1..n, c): -w0 on
+# the nodes and c = r^v h^v, one value for every Dynkin component of the type
+DUALITY_TABLE = [
+    ("A1", "A1", [1], 2), ("A2", "A2", [2, 1], 3), ("A3", "A3", [3, 2, 1], 4),
+    ("A4", "A4", [4, 3, 2, 1], 5), ("B2", "B2", [1, 2], 6), ("C2", "C2", [1, 2], 6),
+    ("B3", "B3", [1, 2, 3], 8), ("C3", "C3", [1, 2, 3], 10), ("G2", "G2", [1, 2], 12),
+    ("A1xA1", {"matrix": [[2, 0], [0, 2]]}, [1, 2], 2), ("D4", "D4", [1, 2, 3, 4], 6),
+    ("D5", "D5", [1, 2, 3, 5, 4], 8), ("E6", "E6", [6, 2, 5, 4, 3, 1], 12),
+    ("F4 matrix", F4_MATRIX, [1, 2, 3, 4], 18), ("E7", "E7", list(range(1, 8)), 18),
+    ("E8", "E8", list(range(1, 9)), 30),
 ]
 
 POSITIVITY_TYPES = (
@@ -117,6 +129,40 @@ def kernels(budget: Budget = DEFAULT_BUDGET):
         for i in nodes or alg.cartan.nodes():
             f = fundamental(alg, i, 0, budget)
             checks.append({"name": f"{name} node {i} kernel", "ok": in_kernel_all(alg, f)})
+    return checks
+
+
+def duality(budget: Budget = DEFAULT_BUDGET):
+    """i* and c of SymmetrizedCartan.duality against DUALITY_TABLE, per node and
+    its Dynkin component; then, on whole-loop characters F = F_t(Y_{i,0}), the
+    lowest monomial Y_{i*,c}^-1, with coefficient 1 and alone at A-depth
+    depth_bound, and sigma-invariance: F = sigma(F) term for term, with
+    sigma(Y_{j,l}) = Y_{j*,c-l}^-1.  A top_level of c truncates nothing, since
+    no term has a Y above the lowest monomial's level, and runs the whole
+    loop, not the half-depth one that relies on this identity."""
+    checks = []
+    for name, cartan, star, c in DUALITY_TABLE:
+        cm = _algebra(cartan).cartan
+        for i in cm.nodes():
+            got_star, got_c = cm.duality(i)
+            ok = got_c == c and got_star.get(i) == star[i - 1] and all(
+                got_star[k] == star[k - 1] for k in got_star)
+            checks.append({"name": f"{name} node {i}: i* = {star[i - 1]}, c = {c}", "ok": ok})
+    for name, cartan, nodes in [(n, n, None) for n in KERNEL_TYPES] + KERNEL_LARGE + [
+            ("E8", "E8", [1])]:
+        alg = _algebra(cartan)
+        for i in nodes or alg.cartan.nodes():
+            star, c = alg.cartan.duality(i)
+            seed = Monomial.y(i, 0)
+            f = t_algorithm(alg, seed, budget, top_level=c)
+            low, bound = Monomial.y(star[i], c, -1), alg.depth_bound(seed)
+            lowest = f.coeff(low) == ONE and alg.depth_bound(low) == -bound and all(
+                alg.depth_bound(m) > -bound for m in f.monomials() if m != low)
+            image = {Monomial({(star[j], c - l): -e for (j, l), e in m.items()}): p
+                     for m, p in f.items()}
+            checks.append({"name": f"{name} node {i} lowest monomial {low}", "ok": lowest})
+            checks.append({"name": f"{name} node {i} sigma-invariant",
+                           "ok": image == dict(f.items())})
     return checks
 
 
@@ -239,6 +285,7 @@ def products(budget: Budget = DEFAULT_BUDGET):
 SUITES = {
     "appendix": appendix,
     "kernels": kernels,
+    "duality": duality,
     "positivity": positivity,
     "involution": involution,
     "bicharacters": bicharacters,

@@ -11,8 +11,8 @@ import time
 
 import pytest
 
-from qtchar import YtAlgebra, algebra, suites
-from qtchar.algebra import Monomial
+from qtchar import YtAlgebra, algebra, cartan, suites
+from qtchar.algebra import Monomial, YtElement
 from qtchar.cartan import cartan_from_json
 from qtchar.characters import RepElement, fundamental, lt_and_kl, star_product
 from qtchar.classical import classical_algorithm
@@ -176,6 +176,42 @@ def test_criterion_7_involution_suite():
 
 def test_criterion_8_bicharacter_suite():
     _assert_suite(suites.bicharacters(), 11)
+
+
+def test_criterion_10_duality_suite():
+    """i* and c per node, then the lowest monomial and sigma-invariance of
+    every whole-loop fundamental the suite covers."""
+    _assert_suite(suites.duality(), 150)
+
+
+def test_duality_suite_fails_on_one_wrong_t_power(monkeypatch):
+    """E6 node 4 with one coefficient at A-depth 7 multiplied by t^2: the
+    suite's sigma-invariance check of it fails, and only that one."""
+    real = suites.t_algorithm
+
+    def tilted(alg, seed, budget, top_level=None):
+        f = real(alg, seed, budget, top_level=top_level)
+        if alg.cartan.n == 6 and seed == Monomial.y(4, 0):
+            m = next(m for m in f.monomials() if (alg.depth_bound(seed) - alg.depth_bound(m)) == 14)
+            f = YtElement({**dict(f.items()), m: f.coeff(m) * TPoly.t_power(2)})
+        return f
+
+    monkeypatch.setattr(suites, "t_algorithm", tilted)
+    failed = [c["name"] for c in suites.duality() if not c["ok"]]
+    assert failed == ["E6 node 4 sigma-invariant"]
+
+
+def test_duality_suite_fails_on_a_transposed_b3(monkeypatch):
+    """A named_cartan that transposes B3 moves its c from 8 to 10."""
+    real = cartan.named_cartan
+
+    def transposed(name):
+        m = real(name)
+        return [list(col) for col in zip(*m)] if name.strip().upper() == "B3" else m
+
+    monkeypatch.setattr(cartan, "named_cartan", transposed)
+    failed = {c["name"] for c in suites.duality() if not c["ok"]}
+    assert {"B3 node 1: i* = 1, c = 8", "B3 node 3: i* = 3, c = 8"} <= failed
 
 
 def _random_yv(rng, nodes):

@@ -354,3 +354,21 @@ def test_simply_laced_flag():
     assert algebra("D4").cartan.is_simply_laced()
     assert not algebra("B2").cartan.is_simply_laced()
     assert not algebra("G2").cartan.is_simply_laced()
+
+
+def test_duality_per_dynkin_component():
+    """i* and c = r^v h^v of each node's own component: A2, G2 and A3 blocks."""
+    c = SymmetrizedCartan(_blocks("A2", "G2", "A3"))
+    assert [c.duality(i) for i in c.nodes()] == (
+        [({1: 2, 2: 1}, 3)] * 2 + [({3: 3, 4: 4}, 12)] * 2 + [({5: 7, 6: 6, 7: 5}, 4)] * 3)
+
+
+def test_duality_is_computed_on_first_use_and_kept():
+    """The constructor computes no duality; the first call fills it for the
+    whole component of its node, and later calls return the same objects."""
+    c = SymmetrizedCartan(named_cartan("E6"))
+    assert c._duality == {}
+    got = c.duality(3)
+    assert got == ({1: 6, 2: 2, 3: 5, 4: 4, 5: 3, 6: 1}, 12)
+    assert set(c._duality) == set(c.nodes())
+    assert all(c.duality(i) is got for i in c.nodes())

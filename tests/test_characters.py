@@ -41,6 +41,20 @@ from qtchar.suites import KERNEL_TYPES
 from qtchar.tpoly import ONE, ZERO, TPoly
 
 
+def _whole_loop(alg, seed, **kw):
+    """t_algorithm on the whole loop for a fundamental seed Y_{i,l0}: a top_level
+    of l0 + c, the level of the lowest monomial Y_{i*,l0+c}^-1, truncates
+    nothing but turns off the half-depth mirror."""
+    [((i, l0), _)] = seed.items()
+    return t_algorithm(alg, seed, top_level=l0 + alg.cartan.duality(i)[1], **kw)
+
+
+def _a_depths(alg, x, seed):
+    """m -> its A-depth below seed, (depth_bound(seed) - depth_bound(m)) / 2."""
+    bound = alg.depth_bound(seed)
+    return {m: (bound - alg.depth_bound(m)) // 2 for m in x.monomials()}
+
+
 def test_budget_validation():
     with pytest.raises(ValueError):
         Budget(max_monomials=0)
@@ -167,7 +181,49 @@ def test_loop_errors_name_the_whole_monomial(monkeypatch):
     monkeypatch.setattr(g2, "depth_bound", lambda m_plus: 1)
     with pytest.raises(InternalInconsistency,
                        match=re.escape("A-depth 2 of Y[1,1] Y[1,3] Y[1,7]^-1 exceeds the bound 1")):
+        _whole_loop(g2, Monomial.y(2, 0))
+
+
+def test_half_depth_seam_names_the_seed_and_the_depth(monkeypatch):
+    """With a wrong depth_bound the half-depth run of a fundamental stops at
+    the wrong middle, and its seam check fails, naming the seed and depth."""
+    g2 = algebra("G2")
+    monkeypatch.setattr(g2, "depth_bound", lambda m_plus: 1)
+    with pytest.raises(InternalInconsistency, match=re.escape(
+            "the terms of Y[2,0] at A-depth 1 are not the duality images of those at A-depth 0")):
         t_algorithm(g2, Monomial.y(2, 0))
+
+
+def _c_plus_2(star, c):
+    return star, c + 2
+
+
+def _identity_star(star, c):
+    return {k: k for k in star}, c
+
+
+@pytest.mark.parametrize("wrong,node", [(_c_plus_2, 1), (_c_plus_2, 4),
+                                        (_identity_star, 1), (_identity_star, 3)])
+def test_half_depth_seam_refuses_a_wrong_duality(monkeypatch, wrong, node):
+    """On E6, where -w0 swaps nodes 1 and 6 and nodes 3 and 5, a c two levels
+    too high or i* = i fails the seam.  i* = i is tried on nodes that -w0
+    moves: F_t(Y_{4,0}) is invariant under the diagram automorphism, so there
+    the map with i* = i leaves it invariant too."""
+    e6 = algebra("E6")
+    real = e6.cartan.duality
+    monkeypatch.setattr(e6.cartan, "duality", lambda i: wrong(*real(i)))
+    with pytest.raises(InternalInconsistency, match="are not the duality images"):
+        t_algorithm(e6, Monomial.y(node, 0))
+
+
+def test_mirrored_terms_count_toward_the_budget():
+    """E6 node 4 has 2925 terms, about half of them mirrored, not discovered:
+    Budget(2924) fails, and Budget(2925) returns them all."""
+    e6 = algebra("E6")
+    seed = Monomial.y(4, 0)
+    with pytest.raises(BudgetExceeded, match="^Y\\[4,0\\] has 2925 monomials, more than 2924$"):
+        t_algorithm(e6, seed, Budget(2924))
+    assert len(t_algorithm(e6, seed, Budget(2925))) == 2925
 
 
 def test_monomial_cap_fires_inside_the_loop():
@@ -193,11 +249,43 @@ def test_each_node_part_is_unpacked_once_per_call(monkeypatch, name, node, terms
         return unpack(code, part)
 
     monkeypatch.setattr(_Packing, "unpack", counted)
-    result = t_algorithm(algebra(name), Monomial.y(node, 0))
+    result = _whole_loop(algebra(name), Monomial.y(node, 0))
     assert len(result) == terms
     parts = {(i, tuple(kv for kv in m.items() if kv[0][0] == i))
              for m in result.monomials() for (i, _), _ in m.items()}
     assert len(calls) == len(set(calls)) == len(parts) < terms
+
+
+@pytest.mark.parametrize("name,node,terms", [("E6", 4, 2925), ("E8", 1, 3875)])
+def test_half_depth_run_unpacks_each_part_up_to_the_middle_once(monkeypatch, name, node, terms):
+    """The half-depth run unpacks once each distinct node part of the terms at
+    A-depths <= H = ceil(D/2), the depths it computes; the mirror unpacks none."""
+    alg = algebra(name)
+    seed = Monomial.y(node, 0)
+    calls = []
+    unpack = _Packing.unpack
+
+    def counted(code, part):
+        calls.append(part)
+        return unpack(code, part)
+
+    monkeypatch.setattr(_Packing, "unpack", counted)
+    result = t_algorithm(alg, seed)
+    assert len(result) == terms
+    depth = _a_depths(alg, result, seed)
+    middle = (alg.depth_bound(seed) + 1) // 2
+    parts = {(i, tuple(kv for kv in m.items() if kv[0][0] == i))
+             for m in result.monomials() if depth[m] <= middle for (i, _), _ in m.items()}
+    assert len(calls) == len(set(calls)) == len(parts)
+
+
+@pytest.mark.parametrize("name,node", [("E6", 4), ("G2", 2), ("D5", 4)])
+def test_mirrored_pairs_are_the_unpacked_ones(name, node):
+    """A (key, exponent) pair is one object across the half-depth result,
+    whether unpacked or made for a mirrored term."""
+    result = t_algorithm(algebra(name), Monomial.y(node, 0))
+    pairs = [kv for m in result.monomials() for kv in m.items()]
+    assert len({id(kv) for kv in pairs}) == len(set(pairs))
 
 
 @pytest.mark.parametrize(
@@ -265,9 +353,9 @@ def test_zero_entries_are_no_disagreement(monkeypatch):
 
 
 def _lifted(alg, seed):
-    """(i, m) for each lift of the frontier loop: every monomial m of the
+    """(i, m) for each lift of the whole frontier loop: every monomial m of the
     result and node i where m has a Y_i factor and is i-dominant."""
-    return [(i, m) for m in t_algorithm(alg, seed).monomials()
+    return [(i, m) for m in _whole_loop(alg, seed).monomials()
             for i in sorted({i for (i, _), _ in m.items()}) if m.is_dominant([i])]
 
 
@@ -365,12 +453,33 @@ def test_truncated_fundamental_is_the_whole_one_restricted(name, node):
     it is the whole character."""
     alg = algebra(name)
     seed = Monomial.y(node, 0)
-    whole = list(t_algorithm(alg, seed).items())
+    whole = list(_whole_loop(alg, seed).items())
     highest = max(l for m, _ in whole for (_, l), _ in m.items())
     for top in range(highest + 2):
         got = list(t_algorithm(alg, seed, top_level=top).items())
         assert got == [(m, p) for m, p in whole if _levels_at_most(m, top)], top
     assert got == whole and len(t_algorithm(alg, seed, top_level=highest - 1)) < len(whole)
+
+
+@pytest.mark.parametrize(
+    "name,node",
+    [(name, i) for name in KERNEL_TYPES for i in algebra(name).cartan.nodes()]
+    + [("D4", i) for i in range(1, 5)] + [("E6", i) for i in range(1, 7)],
+)
+@pytest.mark.parametrize("l0", [0, -3])
+def test_half_depth_run_is_the_whole_loop_mirrored(name, node, l0):
+    """The half-depth run of Y_{i,l0} equals the whole loop as a map, comes in
+    A-depth order, and lists its terms at A-depths <= D - H, the ones it
+    keeps from its own loop, in the whole loop's order."""
+    alg = algebra(name)
+    seed = Monomial.y(node, l0)
+    whole, half = _whole_loop(alg, seed), t_algorithm(alg, seed)
+    assert half == whole and _depth_never_increases(alg, half)
+    bound = alg.depth_bound(seed)
+    kept = bound - (bound + 1) // 2
+    depth = _a_depths(alg, whole, seed)
+    assert ([(m, p) for m, p in half.items() if depth[m] <= kept]
+            == [(m, p) for m, p in whole.items() if depth[m] <= kept])
 
 
 def test_fundamental_caches_each_truncation_once_per_relative_top():
@@ -631,6 +740,28 @@ def test_lift_is_built_once_per_node_part(monkeypatch):
     lifted = _lifted(algebra("E6"), Monomial.y(4, 0))
     keys = {(i, tuple(kv for kv in m.items() if kv[0][0] == i)) for i, m in lifted}
     assert len(calls) == len(keys) < len(lifted)
+
+
+def test_half_depth_run_lifts_each_part_below_the_middle_once(monkeypatch):
+    """The half-depth run builds one lift per (i, node-i exponents) of its
+    terms at A-depths below H = ceil(D/2), fewer than the whole loop builds."""
+    e6, seed = algebra("E6"), Monomial.y(4, 0)
+    lifted = _lifted(e6, seed)
+    depth = _a_depths(e6, _whole_loop(e6, seed), seed)
+    middle = (e6.depth_bound(seed) + 1) // 2
+    keys = {(i, tuple(kv for kv in m.items() if kv[0][0] == i)) for i, m in lifted}
+    below = {(i, tuple(kv for kv in m.items() if kv[0][0] == i))
+             for i, m in lifted if depth[m] < middle}
+    calls = []
+
+    def lift_it(alg, i, m):
+        calls.append((i, tuple(kv for kv in m.items() if kv[0][0] == i)))
+        return screening.lift_it(alg, i, m)
+
+    monkeypatch.setattr(characters, "lift_it", lift_it)
+    t_algorithm(e6, seed)
+    assert len(calls) == len(set(calls)) == len(below) < len(keys)
+    assert set(calls) == below
 
 
 def test_fundamental_shift(b2):

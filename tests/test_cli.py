@@ -458,6 +458,12 @@ def test_verify_appendix(capsys):
     assert len(payload["checks"]) == 16
 
 
+def test_verify_duality(capsys):
+    code, out, _ = run(capsys, "verify", "duality")
+    payload = json.loads(out)
+    assert code == 0 and payload["passed"] is True and len(payload["checks"]) == 150
+
+
 def test_verify_unknown_suite_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "nope"])
