@@ -84,13 +84,6 @@ class Monomial:
         nodes = set(nodes)
         return all(e >= 0 for (i, _), e in self.data if i in nodes)
 
-    def is_right_negative(self) -> bool:
-        """At the maximal occurring level, every exponent is negative."""
-        top = max((l for (_, l), _ in self.data), default=None)
-        if top is None:
-            return False
-        return all(e < 0 for (_, l), e in self.data if l == top)
-
     def sortkey(self):
         # data is sorted by (node, level), so the key is node-major:
         # Y[1,5] comes before Y[2,0]; any total order works as a tiebreak

@@ -685,11 +685,12 @@ def character_tree(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BU
 
     The blocks are the lifts f_it(m) for every monomial m of the character
     and every node i where m has a Y_i factor and is i-dominant, in the
-    order of the character's terms and then of the nodes.  An edge
-    joins two monomials of the character in one node-i block whose
-    quotient is a single A_{i,l}^-1.  Returns (vertices, edges): the
-    monomials of the character in sortkey order, and the (m1, m2, (i, l))
-    triples in the sortkey order of (m1, m2).
+    order of the character's terms and then of the nodes.  An edge joins
+    two monomials of the character in one node-i block whose quotient is a
+    single A^-1, which is an A_{i,l}^-1: members of a node-i block differ
+    only by node-i A's, and the A's are algebraically independent.
+    Returns (vertices, edges): the monomials of the character in sortkey
+    order, and the (m1, m2, (i, l)) triples in the sortkey order of (m1, m2).
     """
     result = t_algorithm(alg, m_plus, budget)
     support = set(result.monomials())
@@ -706,8 +707,7 @@ def character_tree(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BU
                     v = alg.factor_over_A(m2, m1)
                     if v and sum(v.values()) == 1:
                         [(key, _)] = v.items()
-                        if key[0] == i:
-                            edges[(m1, m2)] = key
+                        edges[(m1, m2)] = key
     vertices = sorted(support, key=lambda m: m.sortkey())
     edge_list = sorted(
         ((src, dst, key) for (src, dst), key in edges.items()),

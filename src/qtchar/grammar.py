@@ -14,8 +14,10 @@ Indices and exponents are ASCII integers of at most errors.MAX_DIGITS digits.
 The lone token 1 is the unit in every grammar here.
 
 Serialized elements carry each basis monomial as its plain exponent map
-(the normal-ordered string, "1" for the unit), so parse(serialize(x)) == x
-exactly.  Empty text is a parse error, not the unit.
+(the normal-ordered string, "1" for the unit), which parse_basis_monomial
+reads back, so a serialized element parses back to itself exactly; the
+tests check the round trip with the parse in tests/reference.py.  Empty
+text is a parse error, not the unit.
 """
 
 from __future__ import annotations
@@ -122,10 +124,6 @@ def serialize_tpoly(p: TPoly) -> dict:
     return {str(e): c for e, c in p.sorted_items()}
 
 
-def parse_tpoly(obj: dict) -> TPoly:
-    return TPoly({int(e): int(c) for e, c in obj.items()})
-
-
 class Namer(dict):
     """Names monomials as str(m) does, with letter in place of Y ("X" names
     them as format_rep_monomial does).  As a dict it maps each (key,
@@ -159,14 +157,6 @@ def term_list(x, name=None) -> list:
 
 def serialize_element(x: YtElement) -> dict:
     return {"terms": term_list(x)}
-
-
-def parse_element(obj: dict) -> YtElement:
-    terms = {}
-    for item in obj.get("terms", []):
-        m = parse_basis_monomial(item["monomial"])
-        terms[m] = terms.get(m, TPoly.zero()) + parse_tpoly(item["coeff"])
-    return YtElement(terms)
 
 
 # Rep-monomials reuse the same grammar with X in place of Y.

@@ -1,9 +1,8 @@
 """Deformed screening operators and their kernels.
 
 s_it maps an element to its components, one per canonical index of the
-screening-current window; the kernel elements e_it and f_it generate the
-node-i kernel, f_it being the unique kernel element whose only i-dominant
-monomial is m.
+screening-current window; f_it(m) is the unique element of the node-i
+kernel whose only i-dominant monomial is m.
 ft_sl2 holds the rank-1 f_it in A-string form, built from the segment
 strings with the local twist and no twisted product; lift_it lifts it to
 node i with the same local twist, once per algebra and level-shift class of
@@ -65,27 +64,6 @@ def in_kernel_all(alg: YtAlgebra, x: YtElement) -> bool:
 def _check_i_dominant(i: int, m: Monomial):
     if not m.is_dominant([i]):
         raise NotIDominant(f"{m} is not dominant for node {i}")
-
-
-def e_it(alg: YtAlgebra, i: int, m: Monomial) -> YtElement:
-    """Ordered product of node-i kernel generators and spectator variables."""
-    _check_i_dominant(i, m)
-    ri = alg.cartan.ri(i)
-    acc = YtElement.unit()
-    for l in sorted({l for (_, l), _ in m.items()}):
-        ui = m.u(i, l)
-        if ui:
-            a_inv = alg.a_monomial_expand({(i, l + ri): 1})
-            bracket = YtElement.unit() + YtElement.from_monomial(a_inv, TPoly.t_power(1))
-            factor = alg.mul(YtElement.from_monomial(Monomial.y(i, l)), bracket)
-            for _ in range(ui):
-                acc = alg.mul(acc, factor)
-        for j in alg.cartan.nodes():
-            if j != i:
-                uj = m.u(j, l)
-                if uj:
-                    acc = alg.mul(acc, YtElement.from_monomial(Monomial.y(j, l, uj)))
-    return acc
 
 
 def _n_y_a(y: dict, v) -> int:
@@ -262,7 +240,3 @@ def f_it(alg: YtAlgebra, i: int, m: Monomial) -> YtElement:
     terms = {m.times(Monomial.from_sorted(data).shift(lo)): TPoly(dict(coeff))
              for data, _, coeff in lift}
     return YtElement({m: ONE, **terms})
-
-
-def i_dominant_part(x: YtElement, i: int) -> dict:
-    return {m: p for m, p in x.items() if m.is_dominant([i])}

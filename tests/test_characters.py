@@ -35,10 +35,12 @@ from qtchar.errors import (
     ParseError,
 )
 from qtchar.grammar import parse_basis_monomial
-from qtchar.screening import e_it, f_it, ft_sl2
+from qtchar.screening import f_it, ft_sl2
 from qtchar.sl2 import sl2_algebra
 from qtchar.suites import KERNEL_TYPES
 from qtchar.tpoly import ONE, ZERO, TPoly
+
+from reference import e_it
 
 
 def _whole_loop(alg, seed, **kw):

@@ -14,7 +14,8 @@ from qtchar.classical import (
     sl2_classical_f,
 )
 from qtchar.errors import BudgetExceeded, InternalInconsistency, NotDominant
-from qtchar.sl2 import classic_L, is_irregular
+
+from reference import classic_L, is_irregular
 
 
 def mono(*levels):

@@ -17,7 +17,9 @@ from qtchar.algebra import Monomial
 from qtchar.characters import t_algorithm
 from qtchar.cli import main
 from qtchar.errors import InternalInconsistency
-from qtchar.grammar import parse_element, serialize_element
+from qtchar.grammar import serialize_element
+
+from reference import parse_element
 
 DATA = Path(__file__).resolve().parent / "data"
 

