@@ -82,7 +82,9 @@ class _Packing:
     exponent is >= 0, and (x + bias) ^ bias holds each exponent in W-bit
     two's complement.  Per node, masks holds 2^W - 1 in each of the node's
     slots, and (x + bias) ^ bias & masks[i] is x's node-i part.  t_algorithm
-    packs its frontier and unpacks each node part it has not seen before."""
+    packs its frontier and unpacks each node part it has not seen before;
+    pairs keeps every (key, exponent) pair that unpack made, one object each,
+    and is the only part of the packing that _mirror reads."""
 
     def __init__(self, nodes, reach: int):
         """Fields of the narrowest width that holds every exponent of absolute
@@ -95,7 +97,7 @@ class _Packing:
         self.keys = []  # slot -> (node, level)
         self.bias = 0
         self.masks = [0] * len(self.nodes)
-        self._pairs = {}  # one field, in place -> its (key, exponent), kept for the whole call
+        self.pairs = {}  # one field, in place -> the (key, exponent) pair unpack made for it
 
     def encode(self, data: tuple, lo: int) -> int:
         """The packed form of the monomial with the given data moved up lo levels."""
@@ -117,15 +119,6 @@ class _Packing:
         self.masks[self.nodes.index(key[0])] |= ((1 << w) - 1) << (w * k)
         return k
 
-    def pair(self, key, e: int) -> tuple:
-        """The pair (key, e) as the one object that unpack makes for it; key
-        gets a slot if it has none, which changes no packed monomial."""
-        k = self.slot.get(key)
-        if k is None:
-            k = self._new_slot(key)
-        w = self.width
-        return self._pairs.setdefault((e & ((1 << w) - 1)) << (w * k), (key, e))
-
     def unpack(self, part: int) -> tuple:
         """The sorted (key, exponent) pairs of a node part.  A pair is made once
         and shared by every part that holds it, since a slot's key never
@@ -137,10 +130,10 @@ class _Packing:
             at = ((part & -part).bit_length() - 1) // w * w  # the lowest nonzero field
             bits = part & (field << at)
             part ^= bits
-            kv = self._pairs.get(bits)
+            kv = self.pairs.get(bits)
             if kv is None:
                 e = bits >> at
-                kv = self._pairs[bits] = (self.keys[at // w], e - (1 << w) if e >= half else e)
+                kv = self.pairs[bits] = (self.keys[at // w], e - (1 << w) if e >= half else e)
             pairs.append(kv)
         return tuple(sorted(pairs))
 
@@ -210,10 +203,12 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
     citation, for general t it is observed.  sigma maps A-depth d to D - d,
     D = depth_bound(m_plus).  So a whole run from Y_{i,l0} lifts only the
     depths below H = ceil(D/2), whose terms are then final up to depth H,
-    and drops every edge deeper than H.  _mirror checks the seam, adds the
-    sigma-images of the rest, counting them toward budget.max_monomials,
-    and keeps the result in A-depth order.  A top_level of l0 + c truncates
-    nothing, so it gives the whole loop for a fundamental.
+    and drops every edge deeper than H.  The loop records where each depth
+    begins in s; from that and the monomials of s, _mirror checks the seam,
+    adds the sigma-images of the rest, counting them toward
+    budget.max_monomials, and keeps the result in A-depth order.  A
+    top_level of l0 + c truncates nothing, so it gives the whole loop for a
+    fundamental.
     """
     if not m_plus.is_dominant():
         raise NotDominant(f"seed {m_plus} is not dominant")
@@ -230,10 +225,10 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
     half = top_level is None and len(m_plus.data) == 1 and m_plus.data[0][1] == 1
     stop = (bound + 1) // 2 if half else bound + 1
     cut = stop if half else limit  # an edge deeper than cut is dropped (half) or fails
-    rows = {}  # with half, A-depth -> the packed monomials of its terms in s, for _mirror
+    starts = {}  # A-depth -> the index in s of its first term, for _mirror
     x_plus = code.encode(m_plus.data, 0)
     acc = {}  # packed monomial -> {node i: {t-exponent: integer coefficient}}
-    # node-i part -> [its (key, exponent) pairs, i-dominant?, i, lift or None, mirror or None]
+    # node-i part -> [its (key, exponent) pairs, i-dominant?, i, lift or None]
     parts = {}
     buckets = {0: [x_plus]}  # A-depth -> the packed monomials discovered there
     s = {}  # m -> nonzero s(m), in A-depth order, each depth in the order found
@@ -242,7 +237,7 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
     while buckets:
         depth_m = min(buckets)
         bias, node_masks = code.bias, tuple(zip(code.nodes, code.masks))
-        row = rows[depth_m] = [] if half else None
+        starts[depth_m] = len(s)
         for x in buckets.pop(depth_m):
             ux = (x + bias) ^ bias
             data, neg, lifted = [], [], []
@@ -251,7 +246,7 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
                     entry = parts.get(part)
                     if entry is None:
                         pairs = code.unpack(part)
-                        entry = parts[part] = [pairs, all(e > 0 for _, e in pairs), i, None, None]
+                        entry = parts[part] = [pairs, all(e > 0 for _, e in pairs), i, None]
                     data += entry[0]
                     if entry[1]:
                         lifted.append(entry)
@@ -277,13 +272,11 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
             if not sm:
                 continue
             s[m] = sm
-            if row is not None:
-                row.append(x)
-                if depth_m == stop:
-                    continue
+            if depth_m == stop:  # with half, every edge from here is dropped
+                continue
             sm_items = sm.coeffs.items()
             for entry in lifted:
-                _, _, i, lift, _ = entry
+                _, _, i, lift = entry
                 if lift is None:
                     terms, lo = lift_it(alg, i, m)
                     lift = entry[3] = [(code.encode(data, lo), dw, coeff)
@@ -322,12 +315,12 @@ def t_algorithm(alg: YtAlgebra, m_plus: Monomial, budget: Budget = DEFAULT_BUDGE
                         for e2, c2 in coeff:
                             d[e1 + e2] = d.get(e1 + e2, 0) + c1 * c2
     if half:
-        _mirror(alg, m_plus, bound, stop, budget, code, parts, rows, s)
+        _mirror(alg, m_plus, bound, stop, budget, code.pairs.values(), starts, s)
     return YtElement._adopt(s)  # every s(m) stored is a nonzero TPoly
 
 
 def _mirror(alg: YtAlgebra, m_plus: Monomial, bound: int, stop: int, budget: Budget,
-            code: _Packing, parts: dict, rows: dict, s: dict) -> None:
+            unpacked, starts: dict, s: dict) -> None:
     """Complete the fundamental character s, computed up to A-depth
     H = stop = ceil(D/2), D = bound = depth_bound(m_plus), by its duality
     images.
@@ -336,45 +329,42 @@ def _mirror(alg: YtAlgebra, m_plus: Monomial, bound: int, stop: int, budget: Bud
     SymmetrizedCartan.duality, maps A-depth d to D - d.  The depth-H terms
     of s must be the images of the depth-(D - H) ones (the seam), or
     InternalInconsistency names the seed and the depth.  Then s gets
-    sigma(m), with s(m), for each term m at a depth d < D - H, deepest
-    first, so s stays in A-depth order.  sigma takes the node-k* part of m
-    to the node-k part of sigma(m), so it is built once per node part, into
-    the part's memo entry, from pairs made by _Packing.pair.  rows holds,
-    per depth, the packed monomials of its terms, in the order of s; each
-    depth's are dropped once mirrored.
+    sigma(m), with the same TPoly as s(m), for each term m at a depth
+    d < D - H, deepest first, so s stays in A-depth order.  starts holds the
+    index in s of the first term of each depth the loop processed, so a
+    depth with no term has none to mirror.  sigma is read off the monomials
+    of s, whose (key, exponent) pairs are all unpacked ones: each pair is
+    mapped once, an image pair equal to an unpacked one is that object, and
+    sigma(m)'s pairs are sorted by their rank among the images.
     """
     [((i0, l0), _)] = m_plus.data
     star, c = alg.cartan.duality(i0)
-    bias = code.bias
-    masks = [code.masks[code.nodes.index(star[k])] for k in code.nodes if k in star]
-    values, start, at = list(s.values()), {}, 0
-    for d, xs in rows.items():
-        start[d], at = at, at + len(xs)
+    made = {kv: kv for kv in unpacked}
+    sigma = {}  # unpacked pair -> its image pair
+    for kv in made:
+        (j, l), e = kv
+        im = ((star[j], c + 2 * l0 - l), -e)
+        sigma[kv] = made.get(im, im)
+    rank = {kv: r for r, kv in enumerate(sorted(sigma.values()))}
+    image, order = sigma.__getitem__, rank.__getitem__
+    terms = iter(s)
+    ends = list(starts.values())[1:] + [len(s)]
+    by_depth = {d: list(islice(terms, end - start))
+                for (d, start), end in zip(starts.items(), ends)}
 
-    def images(d: int, out: dict) -> dict:
-        xs = rows.pop(d, ())
-        for x, sm in zip(xs, values[start.get(d, 0):start.get(d, 0) + len(xs)]):
-            ux = (x + bias) ^ bias
-            data = []
-            for mask in masks:
-                if part := ux & mask:
-                    entry = parts[part]
-                    if entry[4] is None:
-                        entry[4] = tuple([code.pair((star[j], c + 2 * l0 - l), -e)
-                                          for (j, l), e in reversed(entry[0])])
-                    data += entry[4]
-            out[Monomial.from_sorted(tuple(data))] = sm
-        return out
+    def images(d: int) -> dict:
+        return {Monomial.from_sorted(tuple(sorted(map(image, m.data), key=order))): s[m]
+                for m in by_depth.get(d, ())}
 
-    total = len(s) + sum(len(rows.get(d, ())) for d in range(bound - stop))
+    total = len(s) + sum(len(by_depth.get(d, ())) for d in range(bound - stop))
     if total > budget.max_monomials:
         raise BudgetExceeded(f"{m_plus} has {total} monomials, more than {budget.max_monomials}")
-    if images(bound - stop, {}) != dict(islice(s.items(), start.get(stop, len(s)), None)):
+    if images(bound - stop) != {m: s[m] for m in by_depth.get(stop, ())}:
         raise InternalInconsistency(
             f"the terms of {m_plus} at A-depth {stop} are not the duality images of those "
             f"at A-depth {bound - stop}")
     for d in range(bound - stop - 1, -1, -1):
-        images(d, s)
+        s.update(images(d))
 
 
 # algebra -> {(node i, None or top): the character with highest monomial Y_{i,0},

@@ -204,18 +204,25 @@ def _identity_star(star, c):
     return {k: k for k in star}, c
 
 
-@pytest.mark.parametrize("wrong,node", [(_c_plus_2, 1), (_c_plus_2, 4),
-                                        (_identity_star, 1), (_identity_star, 3)])
-def test_half_depth_seam_refuses_a_wrong_duality(monkeypatch, wrong, node):
+@pytest.mark.parametrize(
+    "wrong,name,node",
+    [(_c_plus_2, "E6", 1), (_c_plus_2, "E6", 4), (_identity_star, "E6", 1),
+     (_identity_star, "E6", 3), (_c_plus_2, "A3", 1), (_identity_star, "A3", 1)],
+    ids=["_c_plus_2-1", "_c_plus_2-4", "_identity_star-1", "_identity_star-3",
+         "_c_plus_2-A3-1", "_identity_star-A3-1"],
+)
+def test_half_depth_seam_refuses_a_wrong_duality(monkeypatch, wrong, name, node):
     """On E6, where -w0 swaps nodes 1 and 6 and nodes 3 and 5, a c two levels
     too high or i* = i fails the seam.  i* = i is tried on nodes that -w0
     moves: F_t(Y_{4,0}) is invariant under the diagram automorphism, so there
-    the map with i* = i leaves it invariant too."""
-    e6 = algebra("E6")
-    real = e6.cartan.duality
-    monkeypatch.setattr(e6.cartan, "duality", lambda i: wrong(*real(i)))
+    the map with i* = i leaves it invariant too.  E6 has even depth bounds;
+    A3 node 1 has D = 3, so its seam compares depth 2 with the images of
+    depth 1."""
+    alg = algebra(name)
+    real = alg.cartan.duality
+    monkeypatch.setattr(alg.cartan, "duality", lambda i: wrong(*real(i)))
     with pytest.raises(InternalInconsistency, match="are not the duality images"):
-        t_algorithm(e6, Monomial.y(node, 0))
+        t_algorithm(alg, Monomial.y(node, 0))
 
 
 def test_mirrored_terms_count_toward_the_budget():
